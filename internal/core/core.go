@@ -203,15 +203,12 @@ type Config struct {
 	// locality: each round proposes to FanoutIntra peers of the node's own
 	// cluster and FanoutInter peers across cluster boundaries, both scaled
 	// by the same multipliers as the flat fanout (relative capability under
-	// HEAP, the multi-stream budget allocator). Requires Split. Both zero
-	// with Split nil (the default) keeps the paper's flat fanout
-	// byte-identical — the hierarchical path is never consulted.
+	// HEAP, the multi-stream budget allocator). Requires a Sampler that also
+	// implements membership.SplitSampler (membership.NewClusterView, or a
+	// wrapper over one). Both zero (the default) keeps the paper's flat
+	// fanout byte-identical — the split draw is never consulted.
 	FanoutIntra float64
 	FanoutInter float64
-	// Split supplies the locality-aware draws for the hierarchical budgets
-	// (membership.NewClusterView). Uniform paths (request fanout, sampler
-	// aggregation) keep using Sampler.
-	Split membership.SplitSampler
 	// OnDeliver, if non-nil, receives every newly delivered event.
 	OnDeliver DeliverFunc
 
@@ -256,12 +253,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.FanoutIntra < 0 || c.FanoutInter < 0 {
 		return fmt.Errorf("core: negative hierarchical fanout (%v intra, %v inter)", c.FanoutIntra, c.FanoutInter)
-	}
-	if (c.FanoutIntra > 0 || c.FanoutInter > 0) && c.Split == nil {
-		return fmt.Errorf("core: hierarchical fanout requires a Split sampler")
-	}
-	if c.Split != nil && c.FanoutIntra+c.FanoutInter <= 0 {
-		return fmt.Errorf("core: Split sampler requires a positive FanoutIntra+FanoutInter budget")
 	}
 	if c.Adaptive && c.Capabilities == nil {
 		return fmt.Errorf("core: adaptive mode requires a capability estimator")
@@ -363,10 +354,11 @@ type Engine struct {
 	retTargets []wire.NodeID
 	retGroups  [][]wire.PacketID
 
-	// appendSampler is the Sampler's optional zero-alloc fast path, with
-	// peerScratch the per-round target buffer it fills.
-	appendSampler membership.PeerAppender
-	peerScratch   []wire.NodeID
+	// split is the Sampler's split draw when a hierarchical budget is
+	// configured (nil otherwise); peerScratch is the per-round target buffer
+	// the draws fill.
+	split       membership.SplitSampler
+	peerScratch []wire.NodeID
 
 	gossipTicker *env.Ticker
 	adaptiveFn   func() // cached adaptiveRound closure (period-adaptation mode)
@@ -394,7 +386,15 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, effUploadKbps: cfg.UploadKbps}, nil
+	e := &Engine{cfg: cfg, effUploadKbps: cfg.UploadKbps}
+	if cfg.FanoutIntra > 0 || cfg.FanoutInter > 0 {
+		split, ok := cfg.Sampler.(membership.SplitSampler)
+		if !ok {
+			return nil, fmt.Errorf("core: hierarchical fanout requires a sampler with a split draw (membership.SplitSampler)")
+		}
+		e.split = split
+	}
+	return e, nil
 }
 
 // MustNew is New for static configurations known to be valid.
@@ -435,7 +435,6 @@ func (e *Engine) Collect(emit func(name string, value float64)) {
 // Start implements env.Handler.
 func (e *Engine) Start(rt env.Runtime) {
 	e.rt = rt
-	e.appendSampler, _ = e.cfg.Sampler.(membership.PeerAppender)
 	if e.cfg.Adapt != nil {
 		e.advertiser, _ = e.cfg.Capabilities.(CapabilityAdvertiser)
 	}
@@ -530,25 +529,21 @@ func (e *Engine) gossipRound() {
 	}
 }
 
-// gossip sends a [Propose] for ids to fanout() random peers — or, when a
-// Split sampler is configured, to splitFanout() peers drawn per locality.
+// gossip sends a [Propose] for ids to fanout() random peers — or, with a
+// hierarchical budget, to splitFanout() peers drawn per locality.
 func (e *Engine) gossip(st *streamState, ids []wire.PacketID) {
-	var peers []wire.NodeID
-	if e.cfg.Split != nil {
+	if e.split != nil {
 		fIntra, fInter := e.splitFanout()
 		if fIntra+fInter <= 0 {
 			return
 		}
-		e.peerScratch = e.cfg.Split.AppendSplit(e.peerScratch[:0], e.rt.Rand(), fIntra, fInter)
-		peers = e.peerScratch
+		e.peerScratch = e.split.AppendSplit(e.peerScratch[:0], e.rt.Rand(), fIntra, fInter, nil)
 	} else if f := e.fanout(); f <= 0 {
 		return
-	} else if e.appendSampler != nil {
-		e.peerScratch = e.appendSampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), f)
-		peers = e.peerScratch
 	} else {
-		peers = e.cfg.Sampler.SelectPeers(e.rt.Rand(), f)
+		e.peerScratch = e.cfg.Sampler.AppendPeers(e.peerScratch[:0], e.rt.Rand(), f)
 	}
+	peers := e.peerScratch
 	if len(peers) == 0 {
 		return
 	}

@@ -24,6 +24,9 @@ func TestNewValidation(t *testing.T) {
 		{"adaptive without estimator", Config{Fanout: 7, Adaptive: true, Sampler: dir.ViewFor(0)}, true},
 		{"adaptive with estimator", Config{Fanout: 7, Adaptive: true,
 			Capabilities: fixedRel(2), Sampler: dir.ViewFor(0)}, false},
+		{"split fanout without a split draw", Config{Fanout: 7, FanoutIntra: 3, Sampler: noopSampler{}}, true},
+		{"split fanout over a view", Config{Fanout: 7, FanoutIntra: 3, FanoutInter: 1, Sampler: dir.ViewFor(0)}, false},
+		{"negative split fanout", Config{Fanout: 7, FanoutInter: -1, Sampler: dir.ViewFor(0)}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

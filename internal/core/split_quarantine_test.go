@@ -83,12 +83,10 @@ func TestSplitDrawsSkipQuarantined(t *testing.T) {
 	intraQ, interQ := wire.NodeID(2), wire.NodeID(3)
 	det.Quarantine(intraQ, 0)
 	det.Quarantine(interQ, 0)
-	view.SetExclude(det.Quarantined)
 	eng, err := New(Config{
 		Fanout:      7,
 		FanoutIntra: 5,
 		FanoutInter: 2,
-		Split:       view,
 		Sampler:     &misbehave.QuarantineSampler{Inner: view, Detector: det},
 		Monitor:     det,
 	})

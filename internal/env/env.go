@@ -101,9 +101,18 @@ var _ Handler = (HandlerFunc)(nil)
 // Stop flips a flag rather than canceling the pending timer, so a stopped
 // ticker's last timer fires once more as a no-op — and the steady-state
 // tick path allocates nothing.
+//
+// Ticks are scheduled on a fixed grid (phase + k·period), not a period after
+// the previous callback ran, so timer lateness does not accumulate: a wall
+// clock that fires every timer a little late still ticks on schedule on
+// average. A tick that falls a whole period or more behind skips the missed
+// grid points rather than firing them in a burst. The simulator fires timers
+// exactly on their deadlines, where both rules reduce to re-arming one
+// period later.
 type Ticker struct {
 	rt     Runtime
 	period time.Duration
+	next   time.Duration // deadline of the pending tick
 	fn     func()
 	tickFn func() // t.tick as a func value, bound once so ticks don't allocate
 	done   bool
@@ -115,7 +124,7 @@ func NewTicker(rt Runtime, phase, period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("env: ticker period must be positive")
 	}
-	t := &Ticker{rt: rt, period: period, fn: fn}
+	t := &Ticker{rt: rt, period: period, next: rt.Now() + phase, fn: fn}
 	t.tickFn = t.tick
 	rt.AfterFunc(phase, t.tickFn)
 	return t
@@ -125,7 +134,12 @@ func (t *Ticker) tick() {
 	if t.done {
 		return
 	}
-	t.rt.AfterFunc(t.period, t.tickFn)
+	now := t.rt.Now()
+	t.next += t.period
+	if t.next < now {
+		t.next += (now - t.next + t.period - 1) / t.period * t.period
+	}
+	t.rt.AfterFunc(t.next-now, t.tickFn)
 	t.fn()
 }
 

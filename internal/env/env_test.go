@@ -207,3 +207,59 @@ func TestMuxLifecycleOnlyRegistration(t *testing.T) {
 		t.Fatal("lifecycle-only handler not started/stopped")
 	}
 }
+
+// lateRuntime fires every timer late by a fixed delay, like a wall clock
+// whose timer wakeups trail their deadlines.
+type lateRuntime struct {
+	fakeRuntime
+	late time.Duration
+}
+
+func (l *lateRuntime) AfterFunc(d time.Duration, fn func()) {
+	l.fakeRuntime.AfterFunc(d+l.late, fn)
+}
+
+// TestTickerLatenessDoesNotAccumulate pins the drift fix: with every timer
+// firing 1 ms late, the 1000th tick of a 20 ms ticker still lands within
+// 1 ms of its 20 s deadline, instead of a second late.
+func TestTickerLatenessDoesNotAccumulate(t *testing.T) {
+	rt := &lateRuntime{late: time.Millisecond}
+	ticks := 0
+	var at time.Duration
+	NewTicker(rt, 20*time.Millisecond, 20*time.Millisecond, func() {
+		ticks++
+		at = rt.Now()
+	})
+	for ticks < 1000 && rt.fire() {
+	}
+	if ticks != 1000 {
+		t.Fatalf("ticked %d times", ticks)
+	}
+	if d := at - 20*time.Second; d < 0 || d > time.Millisecond {
+		t.Fatalf("1000th tick at %v, want within 1ms of 20s", at)
+	}
+}
+
+// TestTickerSkipsMissedTicks checks a tick delayed past whole periods (a
+// frozen node, a suspended process) resumes on the next grid point instead
+// of firing the missed ticks in a burst.
+func TestTickerSkipsMissedTicks(t *testing.T) {
+	rt := &fakeRuntime{}
+	var fires []time.Duration
+	NewTicker(rt, 10*time.Millisecond, 10*time.Millisecond, func() {
+		fires = append(fires, rt.Now())
+	})
+	rt.timers[0].at = 45 * time.Millisecond // deadline 10ms, fires 3.5 periods late
+	for i := 0; i < 3; i++ {
+		rt.fire()
+	}
+	want := []time.Duration{45 * time.Millisecond, 50 * time.Millisecond, 60 * time.Millisecond}
+	if len(fires) != len(want) {
+		t.Fatalf("fires = %v, want %v", fires, want)
+	}
+	for i := range want {
+		if fires[i] != want[i] {
+			t.Fatalf("fires = %v, want %v", fires, want)
+		}
+	}
+}

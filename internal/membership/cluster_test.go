@@ -69,8 +69,9 @@ func TestAppendSplitOracle(t *testing.T) {
 		for _, q := range sh.excluded {
 			quar[q] = true
 		}
+		var skip func(wire.NodeID) bool
 		if len(quar) > 0 {
-			v.SetExclude(func(id wire.NodeID) bool { return quar[id] })
+			skip = func(id wire.NodeID) bool { return quar[id] }
 		}
 		// Eligible pool sizes for the oracle.
 		selfC := clusterOf(sh.self)
@@ -97,7 +98,7 @@ func TestAppendSplitOracle(t *testing.T) {
 			}
 			wantIntra, wantInter := splitOracle(cI, cJ, nIntra, nInter)
 			for trial := 0; trial < 200; trial++ {
-				got := v.AppendSplit(nil, rng, kIntra, kInter)
+				got := v.AppendSplit(nil, rng, kIntra, kInter, skip)
 				seen := make(map[wire.NodeID]bool, len(got))
 				gotIntra, gotInter := 0, 0
 				for _, id := range got {
@@ -134,7 +135,7 @@ func TestAppendSplitCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	hit := make(map[wire.NodeID]int)
 	for trial := 0; trial < 4000; trial++ {
-		for _, id := range v.AppendSplit(nil, rng, 2, 2) {
+		for _, id := range v.AppendSplit(nil, rng, 2, 2, nil) {
 			hit[id]++
 		}
 	}
@@ -157,7 +158,7 @@ func TestAppendSplitUniformFallback(t *testing.T) {
 	rngA := rand.New(rand.NewSource(5))
 	rngB := rand.New(rand.NewSource(5))
 	for i := 0; i < 50; i++ {
-		got := a.AppendSplit(nil, rngA, 3, 2)
+		got := a.AppendSplit(nil, rngA, 3, 2, nil)
 		want := b.AppendPeers(nil, rngB, 5)
 		if len(got) != len(want) {
 			t.Fatalf("fallback draw differs: %v vs %v", got, want)
@@ -214,7 +215,7 @@ func TestClusterViewChurn(t *testing.T) {
 	selfC := clusterOf(1)
 	nIntra, nInter := len(v.intra), len(v.inter)
 	wantIntra, wantInter := splitOracle(4, 2, nIntra, nInter)
-	got := v.AppendSplit(nil, rng, 4, 2)
+	got := v.AppendSplit(nil, rng, 4, 2, nil)
 	gotIntra := 0
 	for _, id := range got {
 		if clusterOf(id) == selfC {
@@ -245,7 +246,7 @@ func TestClusterSamplerStorm(t *testing.T) {
 			buf := make([]wire.NodeID, 0, 16)
 			for i := 0; i < 5000; i++ {
 				kIntra, kInter := rng.Intn(8), rng.Intn(4)
-				buf = v.AppendSplit(buf[:0], rng, kIntra, kInter)
+				buf = v.AppendSplit(buf[:0], rng, kIntra, kInter, nil)
 				wantIntra, wantInter := splitOracle(kIntra, kInter, nIntra, nInter)
 				gotIntra := 0
 				for _, id := range buf {

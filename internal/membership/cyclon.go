@@ -109,7 +109,7 @@ func (c *Cyclon) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
 	return c.AppendPeers(nil, rng, k)
 }
 
-// AppendPeers implements PeerAppender: SelectPeers into a caller-owned
+// AppendPeers implements Sampler: SelectPeers into a caller-owned
 // buffer, consuming exactly the same rng draws.
 func (c *Cyclon) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
 	n := len(c.view)

@@ -22,7 +22,12 @@ import (
 
 // Sampler yields (approximately) uniformly random peers. Implementations
 // must never return the node's own id or duplicates within one call.
+//
+// Every consumer draws through AppendPeers into a buffer it reuses, so a
+// draw allocates nothing; SelectPeers is the allocating convenience form and
+// consumes exactly the same rng draws.
 type Sampler interface {
+	PeerAppender
 	// SelectPeers returns up to k distinct peers chosen uniformly at
 	// random. Fewer than k are returned when the view is smaller than k.
 	SelectPeers(rng *rand.Rand, k int) []wire.NodeID
@@ -30,11 +35,8 @@ type Sampler interface {
 	PeerCount() int
 }
 
-// PeerAppender is an optional Sampler fast path for hot loops: AppendPeers
-// appends up to k distinct peers to dst and returns the extended slice, so
-// callers can reuse one scratch buffer per round instead of allocating a
-// fresh result per call. Samplers that cannot offer it are used through
-// SelectPeers.
+// PeerAppender is the draw every Sampler offers: AppendPeers appends up to
+// k distinct peers to dst and returns the extended slice.
 type PeerAppender interface {
 	AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID
 }
@@ -43,17 +45,19 @@ type PeerAppender interface {
 // dissemination: up to kIntra distinct peers from the node's own cluster
 // and kInter from other clusters, with unfilled budget spilling across the
 // boundary so the total matches a uniform draw of kIntra+kInter whenever
-// enough peers exist. Views built with NewClusterView implement it.
+// enough peers exist. Peers for which skip reports true (nil skips nothing)
+// are passed over; that is how a wrapping sampler filters the split draw.
+// Views built with NewClusterView implement it.
 type SplitSampler interface {
-	AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID
+	AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int, skip func(wire.NodeID) bool) []wire.NodeID
 }
 
 // View is a mutable full-membership view for one node. It is not safe for
 // concurrent use; in the simulator all accesses happen on the event loop.
 //
 // A view built with NewClusterView additionally partitions its peers by
-// topology cluster and offers AppendSplit; the uniform Sampler/PeerAppender
-// paths are unaffected by the partition.
+// topology cluster and offers AppendSplit; the uniform draws are unaffected
+// by the partition.
 type View struct {
 	self  wire.NodeID
 	peers []wire.NodeID
@@ -69,14 +73,11 @@ type View struct {
 	inter       []wire.NodeID
 	intraIdx    map[wire.NodeID]int
 	interIdx    map[wire.NodeID]int
-	exclude     func(wire.NodeID) bool // split-path filter (quarantine hook)
 }
 
 var (
 	_ Sampler      = (*View)(nil)
-	_ PeerAppender = (*View)(nil)
 	_ SplitSampler = (*View)(nil)
-	_ PeerAppender = (*Cyclon)(nil)
 )
 
 // NewView builds a view for self containing every node in peers except self
@@ -112,15 +113,6 @@ func NewClusterView(self wire.NodeID, peers []wire.NodeID, clusterOf func(wire.N
 	}
 	return v
 }
-
-// SetExclude installs a filter on the split path: AppendSplit never returns
-// a peer for which fn is true (the quarantine hook). Nil clears the filter.
-// The uniform SelectPeers/AppendPeers paths are unaffected; wrap those with
-// a filtering sampler instead.
-func (v *View) SetExclude(fn func(wire.NodeID) bool) { v.exclude = fn }
-
-// Self returns the owning node's id.
-func (v *View) Self() wire.NodeID { return v.self }
 
 // PeerCount implements Sampler.
 func (v *View) PeerCount() int { return len(v.peers) }
@@ -193,8 +185,7 @@ func (v *View) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
 	return v.AppendPeers(nil, rng, k)
 }
 
-// AppendPeers implements PeerAppender: SelectPeers into a caller-owned
-// buffer. It consumes exactly the same rng draws as SelectPeers.
+// AppendPeers implements Sampler: SelectPeers into a caller-owned buffer.
 func (v *View) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
 	n := len(v.peers)
 	if k >= n {
@@ -219,10 +210,10 @@ func (v *View) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.Node
 // uniformly without replacement within each side. Budget a side cannot fill
 // spills to the other, so degenerate shapes fall back to a uniform draw: a
 // single cluster serves everything from intra, a size-1 cluster (no intra
-// peers) serves everything from inter. Peers matching the SetExclude filter
-// are never returned. On a view built without NewClusterView the call is a
-// plain uniform AppendPeers of kIntra+kInter.
-func (v *View) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int) []wire.NodeID {
+// peers) serves everything from inter. Peers matching skip are never
+// returned. On a view built without NewClusterView the call is a plain
+// uniform AppendPeers of kIntra+kInter, and skip is not consulted.
+func (v *View) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int, skip func(wire.NodeID) bool) []wire.NodeID {
 	if kIntra < 0 {
 		kIntra = 0
 	}
@@ -233,25 +224,25 @@ func (v *View) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int
 		return v.AppendPeers(dst, rng, kIntra+kInter)
 	}
 	base := len(dst)
-	dst, usedIntra := v.drawFrom(v.intra, v.intraIdx, dst, rng, kIntra, 0)
+	dst, usedIntra := drawFrom(v.intra, v.intraIdx, dst, rng, kIntra, 0, skip)
 	gotIntra := len(dst) - base
 	mark := len(dst)
 	// Inter budget plus whatever intra could not fill crosses the boundary.
-	dst, _ = v.drawFrom(v.inter, v.interIdx, dst, rng, kInter+(kIntra-gotIntra), 0)
+	dst, _ = drawFrom(v.inter, v.interIdx, dst, rng, kInter+(kIntra-gotIntra), 0, skip)
 	gotInter := len(dst) - mark
 	// Unfilled inter budget spills back into the cluster, continuing the
 	// partial shuffle past the peers already drawn or skipped.
 	if want := kIntra + kInter - gotIntra - gotInter; want > 0 {
-		dst, _ = v.drawFrom(v.intra, v.intraIdx, dst, rng, want, usedIntra)
+		dst, _ = drawFrom(v.intra, v.intraIdx, dst, rng, want, usedIntra, skip)
 	}
 	return dst
 }
 
-// drawFrom draws up to k non-excluded peers from one cluster sub-list with
-// a partial Fisher-Yates, continuing from window offset used (positions
-// below it were already drawn or skipped this round). Returns the extended
-// dst and the new offset.
-func (v *View) drawFrom(list []wire.NodeID, idx map[wire.NodeID]int, dst []wire.NodeID, rng *rand.Rand, k, used int) ([]wire.NodeID, int) {
+// drawFrom draws up to k peers not matching skip from one cluster sub-list
+// with a partial Fisher-Yates, continuing from window offset used (positions
+// below it were already drawn or skipped this round). A skipped peer costs
+// its draw but no budget. Returns the extended dst and the new offset.
+func drawFrom(list []wire.NodeID, idx map[wire.NodeID]int, dst []wire.NodeID, rng *rand.Rand, k, used int, skip func(wire.NodeID) bool) ([]wire.NodeID, int) {
 	n := len(list)
 	for ; used < n && k > 0; used++ {
 		j := used + rng.Intn(n-used)
@@ -260,7 +251,7 @@ func (v *View) drawFrom(list []wire.NodeID, idx map[wire.NodeID]int, dst []wire.
 			idx[list[used]] = used
 			idx[list[j]] = j
 		}
-		if v.exclude != nil && v.exclude(list[used]) {
+		if skip != nil && skip(list[used]) {
 			continue
 		}
 		dst = append(dst, list[used])

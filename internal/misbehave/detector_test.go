@@ -3,10 +3,12 @@ package misbehave_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/env"
+	"repro/internal/membership"
 	"repro/internal/misbehave"
 	"repro/internal/wire"
 )
@@ -468,17 +470,21 @@ type scriptSampler struct {
 	count  int
 }
 
-func (s *scriptSampler) SelectPeers(_ *rand.Rand, k int) []wire.NodeID {
+func (s *scriptSampler) AppendPeers(dst []wire.NodeID, _ *rand.Rand, k int) []wire.NodeID {
 	if s.calls >= len(s.script) {
 		s.calls++
-		return nil
+		return dst
 	}
 	out := s.script[s.calls]
 	s.calls++
 	if len(out) > k {
 		out = out[:k]
 	}
-	return append([]wire.NodeID(nil), out...)
+	return append(dst, out...)
+}
+
+func (s *scriptSampler) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
+	return s.AppendPeers(nil, rng, k)
 }
 
 func (s *scriptSampler) PeerCount() int { return s.count }
@@ -555,5 +561,67 @@ func TestQuarantineSamplerMassQuarantine(t *testing.T) {
 	}
 	if inner.calls > 3 { // initial draw + at most redrawRounds
 		t.Fatalf("sampler consulted %d times, want ≤ 3", inner.calls)
+	}
+}
+
+// TestQuarantineSamplerAppendAllocs pins the hot-path contract: drawing into
+// a warm buffer allocates nothing, with or without quarantined peers (the
+// filter and redraws compact in place).
+func TestQuarantineSamplerAppendAllocs(t *testing.T) {
+	ids := make([]wire.NodeID, 64)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	for _, quarantine := range []int{0, 16} {
+		d := armed(t)
+		for id := 1; id <= quarantine; id++ {
+			d.Quarantine(wire.NodeID(id), 0)
+		}
+		qs := &misbehave.QuarantineSampler{Inner: membership.NewView(0, ids), Detector: d}
+		rng := rand.New(rand.NewSource(3))
+		buf := make([]wire.NodeID, 0, 64)
+		allocs := testing.AllocsPerRun(200, func() {
+			buf = qs.AppendPeers(buf[:0], rng, 7)
+		})
+		if allocs != 0 {
+			t.Errorf("%d quarantined: %v allocs per draw, want 0", quarantine, allocs)
+		}
+		for _, p := range buf {
+			if d.Quarantined(p) {
+				t.Errorf("%d quarantined: drew quarantined peer %d", quarantine, p)
+			}
+		}
+	}
+}
+
+// TestQuarantineSamplerSplitFilters checks the split path: quarantined peers
+// never come out of a cluster view's split draw through the wrapper, and
+// with nothing quarantined the wrapper is draw-for-draw identical to the
+// bare view.
+func TestQuarantineSamplerSplitFilters(t *testing.T) {
+	ids := make([]wire.NodeID, 40)
+	for i := range ids {
+		ids[i] = wire.NodeID(i)
+	}
+	clusterOf := func(id wire.NodeID) int { return int(id) % 2 }
+	d := armed(t)
+	qs := &misbehave.QuarantineSampler{Inner: membership.NewClusterView(0, ids, clusterOf), Detector: d}
+	bare := membership.NewClusterView(0, ids, clusterOf)
+	rngA, rngB := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 50; i++ {
+		got := qs.AppendSplit(nil, rngA, 4, 2, nil)
+		want := bare.AppendSplit(nil, rngB, 4, 2, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("draw %d: wrapper %v, bare view %v", i, got, want)
+		}
+	}
+	d.Quarantine(2, 0)
+	d.Quarantine(3, 0)
+	for i := 0; i < 200; i++ {
+		for _, p := range qs.AppendSplit(nil, rngA, 4, 2, nil) {
+			if p == 2 || p == 3 {
+				t.Fatalf("split draw returned quarantined peer %d", p)
+			}
+		}
 	}
 }

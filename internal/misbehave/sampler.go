@@ -10,8 +10,10 @@ import (
 // QuarantineSampler wires the detector's verdicts through the membership
 // sampler: gossip target draws exclude currently quarantined peers, so a
 // convicted freerider stops receiving this node's proposals — and with them
-// the payloads it was freeriding on. Filtered slots are redrawn (bounded)
-// so honest fanout is preserved.
+// the payloads it was freeriding on. It filters both draw paths the engine
+// uses: uniform draws (filtered slots are redrawn, bounded, so honest
+// fanout is preserved) and split intra/inter draws (the filter is handed to
+// the inner split draw, which passes over quarantined peers as it goes).
 //
 // When nothing is quarantined the wrapper draws exactly once and consumes
 // exactly the inner sampler's randomness, so an unarmed detector leaves the
@@ -21,7 +23,14 @@ type QuarantineSampler struct {
 	Inner membership.Sampler
 	// Detector supplies the quarantine verdicts.
 	Detector *Detector
+
+	quarantined func(wire.NodeID) bool // Detector.Quarantined, bound once
 }
+
+var (
+	_ membership.Sampler      = (*QuarantineSampler)(nil)
+	_ membership.SplitSampler = (*QuarantineSampler)(nil)
+)
 
 // redrawRounds bounds the extra draws replacing filtered slots. Two rounds
 // recover full fanout except under mass quarantine, where a short draw is
@@ -30,31 +39,59 @@ const redrawRounds = 2
 
 // SelectPeers draws up to k non-quarantined peers.
 func (s *QuarantineSampler) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
-	peers := s.Inner.SelectPeers(rng, k)
-	kept := peers[:0]
-	for _, p := range peers {
+	return s.AppendPeers(nil, rng, k)
+}
+
+// AppendPeers appends up to k non-quarantined peers to dst. Filtering and
+// redraws compact in place, so a warm dst makes the call allocation-free.
+func (s *QuarantineSampler) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
+	base := len(dst)
+	dst = s.Inner.AppendPeers(dst, rng, k)
+	n := base
+	for _, p := range dst[base:] {
 		if !s.Detector.Quarantined(p) {
-			kept = append(kept, p)
+			dst[n] = p
+			n++
 		}
 	}
-	if len(kept) == len(peers) {
-		return kept
+	if n == len(dst) {
+		return dst
 	}
-	for round := 0; round < redrawRounds && len(kept) < k; round++ {
-		extra := s.Inner.SelectPeers(rng, k-len(kept))
-		grew := false
-		for _, p := range extra {
-			if s.Detector.Quarantined(p) || contains(kept, p) {
-				continue
+	dst = dst[:n]
+	for round := 0; round < redrawRounds && n-base < k; round++ {
+		dst = s.Inner.AppendPeers(dst, rng, k-(n-base))
+		kept := n
+		for _, p := range dst[kept:] {
+			if !s.Detector.Quarantined(p) && !contains(dst[base:n], p) {
+				dst[n] = p
+				n++
 			}
-			kept = append(kept, p)
-			grew = true
 		}
-		if !grew {
+		dst = dst[:n]
+		if n == kept {
 			break
 		}
 	}
-	return kept
+	return dst
+}
+
+// AppendSplit implements membership.SplitSampler over an inner split draw,
+// passing over quarantined peers (and any peer skip rejects). An inner
+// sampler without a split draw falls back to a filtered uniform draw of
+// kIntra+kInter, like a view built without clusters.
+func (s *QuarantineSampler) AppendSplit(dst []wire.NodeID, rng *rand.Rand, kIntra, kInter int, skip func(wire.NodeID) bool) []wire.NodeID {
+	split, ok := s.Inner.(membership.SplitSampler)
+	if !ok {
+		return s.AppendPeers(dst, rng, max(kIntra, 0)+max(kInter, 0))
+	}
+	if s.quarantined == nil {
+		s.quarantined = s.Detector.Quarantined
+	}
+	filter := s.quarantined
+	if skip != nil {
+		filter = func(id wire.NodeID) bool { return skip(id) || s.Detector.Quarantined(id) }
+	}
+	return split.AppendSplit(dst, rng, kIntra, kInter, filter)
 }
 
 // PeerCount returns the inner sampler's population size (quarantined peers

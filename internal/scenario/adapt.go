@@ -5,13 +5,14 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/metrics"
+	"repro/internal/stack"
 )
 
-// This file wires internal/adapt into the scenario layer: per-node
-// controller construction during node build (scenario.go), result
-// collection (AdaptStats), and the config validation shared by runs and
-// sweeps. The controller itself lives in internal/adapt and the engine-side
-// sampling in internal/core; here we only decide *who* adapts (every
+// This file wires internal/adapt into the scenario layer: result
+// collection (AdaptStats) and the config validation shared by runs and
+// sweeps. The controller itself lives in internal/adapt, its construction
+// in internal/stack and the engine-side sampling in internal/core; here
+// (and in Run's per-node spec) we only decide *who* adapts (every
 // constrained non-source node) and *what* each controller observes (the
 // simulator's per-node uplink queue).
 
@@ -76,16 +77,17 @@ func (c *Config) validateAdapt() error {
 }
 
 // collectAdaptStats folds the per-node controllers into the result record.
-func collectAdaptStats(controllers []*adapt.Controller) *AdaptStats {
+func collectAdaptStats(stacks []*stack.Stack) *AdaptStats {
 	stats := &AdaptStats{
-		ConfiguredKbps: make([]uint32, len(controllers)),
-		EffectiveKbps:  make([]uint32, len(controllers)),
-		Traces:         make([][]adapt.Readvertisement, len(controllers)),
+		ConfiguredKbps: make([]uint32, len(stacks)),
+		EffectiveKbps:  make([]uint32, len(stacks)),
+		Traces:         make([][]adapt.Readvertisement, len(stacks)),
 	}
-	for i, ctrl := range controllers {
-		if ctrl == nil {
+	for i, st := range stacks {
+		if st == nil || st.Controller == nil {
 			continue
 		}
+		ctrl := st.Controller
 		stats.ConfiguredKbps[i] = ctrl.ConfiguredKbps()
 		stats.EffectiveKbps[i] = ctrl.EffectiveKbps()
 		stats.Traces[i] = ctrl.Trace()

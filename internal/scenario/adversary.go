@@ -7,11 +7,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/env"
 	"repro/internal/metrics"
 	"repro/internal/misbehave"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -272,8 +272,7 @@ func (a *adversaryState) interceptorFor(i int, inner env.Handler) env.Handler {
 // advertised capability through the same SetSelfCapKbps path netem's
 // capability traces use. Onset-zero liars advertise the inflated value from
 // the start (wired in Run before estimators are built).
-func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32,
-	estimators []*aggregation.Estimator) {
+func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32, stacks []*stack.Stack) {
 	if a.spec.Onset <= 0 {
 		return
 	}
@@ -281,7 +280,7 @@ func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32,
 		id := id
 		adv := a.liarAdvertised(caps[id])
 		net.Schedule(a.spec.Onset, func() {
-			if est := estimators[id]; est != nil {
+			if est := estimatorOf(stacks, id); est != nil {
 				est.SetSelfCapKbps(adv)
 			}
 		})

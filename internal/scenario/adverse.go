@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/aggregation"
 	"repro/internal/netem"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 )
 
 // This file wires internal/netem into the scenario layer: capability-trace
@@ -22,7 +22,7 @@ import (
 // node's claim goes stale against its real capacity, the regime the
 // adaptation layer (Config.Adapt) exists to detect.
 func applyCapTraces(net *simnet.Network, eng *netem.Engine, unconstrained bool,
-	effective []int64, advertised []uint32, estimators []*aggregation.Estimator) {
+	effective []int64, advertised []uint32, stacks []*stack.Stack) {
 	for _, tr := range eng.CapTraces() {
 		for _, id := range tr.Nodes {
 			if int(id) <= 0 || int(id) >= len(effective) {
@@ -48,7 +48,7 @@ func applyCapTraces(net *simnet.Network, eng *netem.Engine, unconstrained bool,
 						}
 						net.SetUploadBps(id, bps)
 					}
-					if est := estimators[id]; est != nil && !silent {
+					if est := estimatorOf(stacks, id); est != nil && !silent {
 						adv := uint32(float64(baseAdv) * step.Factor)
 						if adv == 0 {
 							adv = 1

@@ -2,8 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/adapt"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/misbehave"
 	"repro/internal/netem"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -530,22 +531,19 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Capability assignment.
-	caps := make([]uint32, total)
+	// Capability assignment: the distribution covers the non-source nodes
+	// in id order.
+	var assigned []uint32
 	if cfg.Dist != nil {
-		assigned := cfg.Dist.Assign(total-numSources, setupRng)
-		j := 0
-		for i := range caps {
-			if sourceNode[i] {
-				continue
-			}
-			caps[i] = assigned[j]
-			j++
-		}
+		assigned = cfg.Dist.Assign(total-numSources, setupRng)
 	}
+	caps := make([]uint32, total)
 	for i := range caps {
-		if sourceNode[i] {
+		switch {
+		case sourceNode[i]:
 			caps[i] = cfg.SourceCapKbps
+		case assigned != nil:
+			caps[i], assigned = assigned[0], assigned[1:]
 		}
 	}
 	// Degraded nodes deliver less than they advertise.
@@ -634,12 +632,8 @@ func Run(cfg Config) (*Result, error) {
 	allIDs := dir.IDs()
 
 	views := make([]*membership.View, total)
-	engines := make([]*core.Engine, total)
+	stacks := make([]*stack.Stack, total)
 	receivers := make([][]*stream.Receiver, total) // [node][spec index]
-	estimators := make([]*aggregation.Estimator, total)
-	averagers := make([]*aggregation.Averager, total)
-	controllers := make([]*adapt.Controller, total)
-	tracers := make([]*telemetry.Tracer, total)
 
 	// specIdx maps wire-level stream ids to spec indices for the per-node
 	// delivery dispatch; singleStream keeps the legacy direct upcall (and
@@ -671,6 +665,122 @@ func Run(cfg Config) (*Result, error) {
 	// the topology-blind baseline samples exactly as before.
 	hierarchical := topol != nil && (cfg.FanoutIntra > 0 || cfg.FanoutInter > 0)
 
+	// gossipNode describes gossip node i's stack. The simulator supplies its
+	// membership, its real uplink queue as the adaptation signal, and the
+	// adversary's interceptor.
+	gossipNode := func(i, present int, onDeliver core.DeliverFunc) (stack.Spec, stack.Substrate) {
+		id := wire.NodeID(i)
+		isSource := sourceNode[i]
+		var sub stack.Substrate
+		// Peer sampling: full view by default, Cyclon PSS as an extension.
+		if cfg.UsePSS {
+			bootstrap := make([]wire.NodeID, 0, 5)
+			for len(bootstrap) < 5 {
+				p := wire.NodeID(pssRng.Intn(present))
+				if p != id {
+					bootstrap = append(bootstrap, p)
+				}
+			}
+			// views[i] stays nil: churn notification is organic (shuffle
+			// timeouts evict dead peers).
+			sub.Membership = membership.NewCyclon(membership.CyclonConfig{ViewSize: cfg.PSSViewSize}, bootstrap)
+		} else {
+			// The bootstrap directory hands out current membership: nodes
+			// already crashed (earlier churn) are excluded, so flash-crowd
+			// joiners do not waste fanout on peers that died before they
+			// arrived. Ids at or past NumNodes are fellow wave members
+			// being built in this same callback — alive by construction.
+			peers := make([]wire.NodeID, 0, present)
+			for _, p := range allIDs[:present] {
+				if int(p) >= net.NumNodes() || net.Alive(p) {
+					peers = append(peers, p)
+				}
+			}
+			if hierarchical {
+				views[i] = membership.NewClusterView(id, peers, topol.ClusterOf)
+			} else {
+				views[i] = membership.NewView(id, peers)
+			}
+			sub.Membership = views[i]
+		}
+		spec := stack.Spec{
+			ID: id,
+			Engine: core.Config{
+				Fanout:          cfg.Fanout,
+				MaxFanout:       cfg.MaxFanout,
+				GossipPeriod:    cfg.GossipPeriod,
+				RetPeriod:       cfg.RetPeriod,
+				RetMaxAttempts:  cfg.RetMaxAttempts,
+				RetSameProposer: cfg.RetSameProposer,
+				ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
+				OnDeliver:       onDeliver,
+			},
+			AdvertisedKbps: advertised[i],
+			Trace:          cfg.Trace,
+			// Every node opens every configured stream up front.
+			Streams: make([]stack.Stream, len(specs)),
+		}
+		for k, sp := range specs {
+			spec.Streams[k] = stack.Stream{Local: sp.Source == id, SourceConfig: stream.SourceConfig{
+				Stream: sp.ID, Geometry: sp.Geometry, Windows: sp.Windows, StartAt: sp.Start,
+			}}
+		}
+		if hierarchical {
+			spec.Engine.FanoutIntra, spec.Engine.FanoutInter = cfg.FanoutIntra, cfg.FanoutInter
+		}
+		if !cfg.Unconstrained {
+			// The fanout-budget allocator's upload budget; inert with a
+			// single stream (see core.Config.UploadKbps). Degraded nodes
+			// budget what they actually deliver, not what they advertise.
+			spec.Engine.UploadKbps = uint32(effective[i] / 1000)
+		}
+		if cfg.AutoFanout {
+			// The first stream's source seeds the size average.
+			spec.AutoFanout = &stack.AutoFanout{C: cfg.FanoutC}
+			if id == specs[0].Source {
+				spec.AutoFanout.Initial = 1
+			}
+		}
+		if cfg.Protocol == HEAP && !isSource {
+			spec.Aggregation = &aggregation.Config{
+				Period:     cfg.AggPeriod,
+				Fanout:     cfg.AggFanout,
+				FreshestK:  cfg.AggFreshestK,
+				TrackLimit: cfg.AggTrackLimit,
+			}
+			spec.Engine.AdaptPeriod = cfg.AdaptPeriod
+		}
+		if adv != nil {
+			// Every honest non-source node runs a misbehavior detector
+			// (armed or observe-only per the spec); freeriders and droppers
+			// receive the protocol through their class's interceptor.
+			if adv.class[i] == misbehave.ClassHonest && !isSource {
+				dc := adv.detectorConfig(net)
+				spec.Detector = &dc
+			}
+			sub.Intercept = func(h env.Handler) env.Handler { return adv.interceptorFor(i, h) }
+		}
+		if isSource && cfg.SourceBias && views[i] != nil {
+			// §5 extension: bias the source's first hop toward rich nodes.
+			sub.Targets = newBiasedSampler(views[i], caps)
+		}
+		if cfg.Adapt != nil && !isSource {
+			// Congestion feedback: the controller's ceiling is the node's
+			// advertised capability (its claim), and its signal is the real
+			// uplink queue the simulator maintains. Sources never adapt:
+			// they are the paper's well-provisioned broadcasters.
+			spec.Adapt = cfg.Adapt
+			sub.AdaptSignal = func() adapt.Sample {
+				return adapt.Sample{
+					Backlog:     net.QueueBacklog(id),
+					SentBytes:   net.NodeStats(id).SentBytes,
+					QueuedBytes: net.QueueBacklogBytes(id),
+				}
+			}
+		}
+		return spec, sub
+	}
+
 	// buildNode constructs and registers node i. present is the system size
 	// the node boots into: initial nodes see the whole time-zero membership,
 	// flash-crowd joiners see everyone present when their wave lands (their
@@ -695,7 +805,12 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
+		nodeCfg := simnet.NodeConfig{}
+		if !cfg.Unconstrained {
+			nodeCfg.UploadBps = effective[i]
+		}
 
+		var h env.Handler
 		if cfg.Protocol == StaticTree {
 			eng := tree.NewEngine(treeTopo, tree.DeliverFunc(onDeliver))
 			mux := env.NewMux()
@@ -712,216 +827,19 @@ func Run(cfg Config) (*Result, error) {
 				}
 				mux.Register(src)
 			}
-			nodeCfg := simnet.NodeConfig{}
-			if !cfg.Unconstrained {
-				nodeCfg.UploadBps = effective[i]
-			}
-			if got := net.AddNode(mux, nodeCfg); got != id {
-				return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
-			}
-			return nil
-		}
-
-		// Peer sampling: full view by default, Cyclon PSS as an extension.
-		var sampler membership.Sampler
-		mux := env.NewMux()
-		if cfg.UsePSS {
-			bootstrap := make([]wire.NodeID, 0, 5)
-			for len(bootstrap) < 5 {
-				p := wire.NodeID(pssRng.Intn(present))
-				if p != id {
-					bootstrap = append(bootstrap, p)
-				}
-			}
-			pss := membership.NewCyclon(membership.CyclonConfig{
-				ViewSize: cfg.PSSViewSize,
-			}, bootstrap)
-			mux.Register(pss, wire.KindShuffleReq, wire.KindShuffleReply)
-			sampler = pss
-			// views[i] stays nil: churn notification is organic (shuffle
-			// timeouts evict dead peers).
+			h = mux
 		} else {
-			// The bootstrap directory hands out current membership: nodes
-			// already crashed (earlier churn) are excluded, so flash-crowd
-			// joiners do not waste fanout on peers that died before they
-			// arrived. Ids at or past NumNodes are fellow wave members
-			// being built in this same callback — alive by construction.
-			peers := make([]wire.NodeID, 0, present)
-			for _, p := range allIDs[:present] {
-				if int(p) >= net.NumNodes() || net.Alive(p) {
-					peers = append(peers, p)
-				}
-			}
-			if hierarchical {
-				views[i] = membership.NewClusterView(id, peers, topol.ClusterOf)
-			} else {
-				views[i] = membership.NewView(id, peers)
-			}
-			sampler = views[i]
-		}
-
-		// Adversarial wiring, honest side: every honest non-source node runs
-		// a misbehavior detector (armed or observe-only per the spec), and
-		// its verdicts filter this node's gossip target draws through the
-		// sampler wrapper. Adversaries and sources run no detector.
-		var det *misbehave.Detector
-		if adv != nil && adv.class[i] == misbehave.ClassHonest && !sourceNode[i] {
-			det = misbehave.MustNew(adv.detectorConfig(net))
-			adv.detectors[i] = det
-			sampler = &misbehave.QuarantineSampler{Inner: sampler, Detector: det}
-			if hierarchical {
-				// The split path draws from the view directly, bypassing the
-				// wrapper; the view's own exclusion filter closes the gap.
-				views[i].SetExclude(det.Quarantined)
-			}
-		}
-
-		engCfg := core.Config{
-			Fanout:          cfg.Fanout,
-			MaxFanout:       cfg.MaxFanout,
-			GossipPeriod:    cfg.GossipPeriod,
-			RetPeriod:       cfg.RetPeriod,
-			RetMaxAttempts:  cfg.RetMaxAttempts,
-			RetSameProposer: cfg.RetSameProposer,
-			ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
-			Sampler:         sampler,
-			OnDeliver:       onDeliver,
-			Monitor:         monitorOrNil(det),
-		}
-		if hierarchical {
-			engCfg.FanoutIntra = cfg.FanoutIntra
-			engCfg.FanoutInter = cfg.FanoutInter
-			engCfg.Split = views[i]
-		}
-		if cfg.Trace != nil {
-			tr := telemetry.NewTracer(id, *cfg.Trace)
-			tracers[i] = tr
-			engCfg.Trace = tr
-		}
-		if !cfg.Unconstrained {
-			// The fanout-budget allocator's upload budget; inert with a
-			// single stream (see core.Config.UploadKbps). Degraded nodes
-			// budget what they actually deliver, not what they advertise.
-			engCfg.UploadKbps = uint32(effective[i] / 1000)
-		}
-		isSource := sourceNode[i]
-		if cfg.AutoFanout {
-			// Continuous size estimation: the first stream's source seeds
-			// the average at 1, everyone else at 0; the mean converges
-			// to 1/n.
-			initial := 0.0
-			if id == specs[0].Source {
-				initial = 1.0
-			}
-			avg := aggregation.NewAverager(aggregation.AveragerConfig{
-				InitialValue: initial,
-				Sampler:      sampler,
-			})
-			averagers[i] = avg
-			mux.Register(avg, wire.KindAvgPush, wire.KindAvgReply)
-			fallback := cfg.Fanout
-			fanoutC := cfg.FanoutC
-			engCfg.FanoutFn = func() float64 {
-				nHat := avg.SizeEstimate()
-				if nHat < 2 {
-					return fallback
-				}
-				return math.Log(nHat) + fanoutC
-			}
-		}
-		if cfg.Protocol == HEAP && !isSource {
-			aggCfg := aggregation.Config{
-				SelfCapKbps: advertised[i],
-				Period:      cfg.AggPeriod,
-				Fanout:      cfg.AggFanout,
-				FreshestK:   cfg.AggFreshestK,
-				Sampler:     sampler,
-				TrackLimit:  cfg.AggTrackLimit,
-			}
-			if det != nil {
-				// The fanout penalty: a quarantined peer's capability claim
-				// leaves this node's bbar, so a liar's inflated claim stops
-				// taxing honest fanouts once convicted.
-				aggCfg.Exclude = det.Quarantined
-			}
-			est := aggregation.NewEstimator(aggCfg)
-			estimators[i] = est
-			engCfg.Adaptive = true
-			engCfg.AdaptPeriod = cfg.AdaptPeriod
-			engCfg.Capabilities = est
-			mux.Register(est, wire.KindAggregate)
-		}
-		if isSource && cfg.SourceBias && views[i] != nil {
-			// §5 extension: bias the source's first hop toward rich nodes.
-			engCfg.Sampler = newBiasedSampler(views[i], caps)
-		}
-		if cfg.Adapt != nil && !isSource {
-			// Congestion feedback: the controller's ceiling is the node's
-			// *advertised* capability (its claim), and its signal is the real
-			// uplink queue the simulator maintains — backlog, enqueue-side
-			// bytes, queued bytes. Sources never adapt: they are the paper's
-			// well-provisioned broadcasters, like every other knob here.
-			ctrl, err := adapt.NewController(*cfg.Adapt, advertised[i])
+			st, err := stack.Build(gossipNode(i, present, onDeliver))
 			if err != nil {
 				return err
 			}
-			controllers[i] = ctrl
-			engCfg.Adapt = ctrl
-			engCfg.AdaptSignal = func() adapt.Sample {
-				return adapt.Sample{
-					Backlog:     net.QueueBacklog(id),
-					SentBytes:   net.NodeStats(id).SentBytes,
-					QueuedBytes: net.QueueBacklogBytes(id),
-				}
+			stacks[i] = st
+			if adv != nil {
+				adv.detectors[i] = st.Detector
 			}
+			h = st.Mux
 		}
-		eng, err := core.New(engCfg)
-		if err != nil {
-			return err
-		}
-		// Every node opens every configured stream up front: tables are
-		// presized and the budget allocator sees the full competing rate
-		// from the first round.
-		for _, sp := range specs {
-			if err := eng.OpenStream(sp.ID, core.StreamConfig{
-				ExpectedPackets: sp.Geometry.TotalPackets(sp.Windows),
-				RateKbps:        float64(sp.Geometry.EffectiveRateBps()) / 1000,
-			}); err != nil {
-				return err
-			}
-		}
-		engines[i] = eng
-		// Adversarial wiring, adversary side: freeriders and droppers
-		// receive the protocol through their class's message-drop
-		// interceptor; everyone else registers the engine directly.
-		var handler env.Handler = eng
-		if adv != nil {
-			handler = adv.interceptorFor(i, eng)
-		}
-		mux.Register(handler, wire.KindPropose, wire.KindRequest, wire.KindServe)
-
-		for _, sp := range specs {
-			if sp.Source != id {
-				continue
-			}
-			src, err := stream.NewSource(stream.SourceConfig{
-				Stream:    sp.ID,
-				Geometry:  sp.Geometry,
-				Windows:   sp.Windows,
-				StartAt:   sp.Start,
-				Publisher: eng,
-			})
-			if err != nil {
-				return err
-			}
-			mux.Register(src) // lifecycle only
-		}
-
-		nodeCfg := simnet.NodeConfig{}
-		if !cfg.Unconstrained {
-			nodeCfg.UploadBps = effective[i]
-		}
-		if got := net.AddNode(mux, nodeCfg); got != id {
+		if got := net.AddNode(h, nodeCfg); got != id {
 			return fmt.Errorf("scenario: node id mismatch: %d != %d", got, id)
 		}
 		return nil
@@ -984,10 +902,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	applyChurnBursts(net, &cfg, views, &victims)
 	if netemEngine != nil {
-		applyCapTraces(net, netemEngine, cfg.Unconstrained, effective, advertised, estimators)
+		applyCapTraces(net, netemEngine, cfg.Unconstrained, effective, advertised, stacks)
 	}
 	if adv != nil {
-		adv.scheduleLiars(net, caps, estimators)
+		adv.scheduleLiars(net, caps, stacks)
 	}
 
 	// Bandwidth-usage sampling during the streaming phase (Fig 4).
@@ -1082,13 +1000,8 @@ func Run(cfg Config) (*Result, error) {
 			net.NumNodes(), total)
 	}
 
-	res, err := collect(collectArgs{
-		cfg: cfg, net: net, caps: caps, advertised: advertised,
-		freerider: freerider, victims: victims, engines: engines,
-		receivers: receivers, estimators: estimators, averagers: averagers,
-		startBytes: startBytes, endBytes: endBytes,
-	})
-	if err != nil {
+	res := &Result{Config: cfg, CapsKbps: caps, AdvertisedKbps: advertised, Freeriders: freerider, Victims: victims}
+	if err := res.collect(net, stacks, receivers, startBytes, endBytes); err != nil {
 		return nil, err
 	}
 	res.BacklogSamples = backlogSamples
@@ -1096,13 +1009,13 @@ func Run(cfg Config) (*Result, error) {
 		res.NetemStats = netemEngine.Stats()
 	}
 	if cfg.Adapt != nil {
-		res.AdaptStats = collectAdaptStats(controllers)
+		res.AdaptStats = collectAdaptStats(stacks)
 	}
 	if adv != nil {
 		res.AdversaryStats = adv.collectStats(&cfg, res)
 	}
 	if cfg.Trace != nil {
-		res.TraceStats = collectTraceStats(tracers)
+		res.TraceStats = collectTraceStats(stacks)
 	}
 	if topol != nil {
 		ts := &TopoStats{Clusters: topol.Clusters(), Sizes: make([]int, topol.Clusters())}
@@ -1118,51 +1031,30 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// monitorOrNil converts a possibly-nil detector into core's Monitor hook
-// without tripping the typed-nil-in-interface trap.
-func monitorOrNil(det *misbehave.Detector) core.Monitor {
-	if det == nil {
-		return nil
+// estimatorOf returns node id's capability estimator, nil while the node
+// has not joined or runs none.
+func estimatorOf(stacks []*stack.Stack, id wire.NodeID) *aggregation.Estimator {
+	if st := stacks[id]; st != nil {
+		return st.Estimator
 	}
-	return det
+	return nil
 }
 
-type collectArgs struct {
-	cfg                  Config
-	net                  *simnet.Network
-	caps, advertised     []uint32
-	freerider            []bool
-	victims              []wire.NodeID
-	engines              []*core.Engine
-	receivers            [][]*stream.Receiver // [node][spec index]
-	estimators           []*aggregation.Estimator
-	averagers            []*aggregation.Averager
-	startBytes, endBytes []int64
-}
-
-func collect(a collectArgs) (*Result, error) {
-	cfg, net, caps, victims := a.cfg, a.net, a.caps, a.victims
-	engines, receivers, estimators := a.engines, a.receivers, a.estimators
-	startBytes, endBytes := a.startBytes, a.endBytes
+// collect fills in the per-node counters and builds one delivery record per
+// stream. stacks[i] is nil for static-tree nodes; receivers is indexed
+// [node][spec index].
+func (res *Result) collect(net *simnet.Network, stacks []*stack.Stack, receivers [][]*stream.Receiver,
+	startBytes, endBytes []int64) error {
+	cfg, caps := &res.Config, res.CapsKbps
 	nodes := cfg.totalNodes()
-	specs := cfg.effectiveStreams()
-
-	victimSet := make(map[wire.NodeID]bool, len(victims))
-	for _, v := range victims {
+	victimSet := make(map[wire.NodeID]bool, len(res.Victims))
+	for _, v := range res.Victims {
 		victimSet[v] = true
 	}
-
-	res := &Result{
-		Config:         cfg,
-		CapsKbps:       caps,
-		AdvertisedKbps: a.advertised,
-		Freeriders:     a.freerider,
-		Usage:          make([]float64, nodes),
-		Victims:        victims,
-		NodeNetStats:   make([]simnet.NodeStats, nodes),
-		CoreStats:      make([]core.Stats, nodes),
-		NetStats:       net.Stats(),
-	}
+	res.Usage = make([]float64, nodes)
+	res.NodeNetStats = make([]simnet.NodeStats, nodes)
+	res.CoreStats = make([]core.Stats, nodes)
+	res.NetStats = net.Stats()
 	if cfg.Protocol == HEAP {
 		res.EstimatesKbps = make([]float64, nodes)
 	}
@@ -1175,14 +1067,14 @@ func collect(a collectArgs) (*Result, error) {
 	for i := 0; i < nodes; i++ {
 		id := wire.NodeID(i)
 		res.NodeNetStats[i] = net.NodeStats(id)
-		if engines[i] != nil {
-			res.CoreStats[i] = engines[i].Stats()
-		}
-		if estimators[i] != nil {
-			res.EstimatesKbps[i] = estimators[i].EstimateKbps()
-		}
-		if a.averagers[i] != nil {
-			res.SizeEstimates[i] = a.averagers[i].SizeEstimate()
+		if st := stacks[i]; st != nil {
+			res.CoreStats[i] = st.Engine.Stats()
+			if st.Estimator != nil {
+				res.EstimatesKbps[i] = st.Estimator.EstimateKbps()
+			}
+			if st.Averager != nil {
+				res.SizeEstimates[i] = st.Averager.SizeEstimate()
+			}
 		}
 		if !cfg.Unconstrained && streamSecs > 0 && caps[i] > 0 {
 			sentBits := float64(endBytes[i]-startBytes[i]) * 8
@@ -1197,7 +1089,7 @@ func collect(a collectArgs) (*Result, error) {
 	// One measurement record per stream; each stream excludes its own
 	// broadcaster (which trivially has the whole stream) and includes every
 	// other node, other streams' sources included.
-	for k, sp := range specs {
+	for k, sp := range cfg.effectiveStreams() {
 		totalPkts := sp.Geometry.TotalPackets(sp.Windows)
 		publishAt := make([]time.Duration, totalPkts)
 		for id := 0; id < totalPkts; id++ {
@@ -1224,12 +1116,12 @@ func collect(a collectArgs) (*Result, error) {
 			})
 		}
 		if err := run.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		res.StreamRuns = append(res.StreamRuns, run)
 	}
 	res.Run = res.StreamRuns[0]
-	return res, nil
+	return nil
 }
 
 // biasedSampler draws peers with probability proportional to advertised
@@ -1248,34 +1140,37 @@ func newBiasedSampler(view *membership.View, caps []uint32) *biasedSampler {
 // PeerCount implements membership.Sampler.
 func (b *biasedSampler) PeerCount() int { return b.view.PeerCount() }
 
-// SelectPeers implements membership.Sampler with weighted sampling without
-// replacement (repeated weighted draws, skipping duplicates).
+// SelectPeers implements membership.Sampler.
 func (b *biasedSampler) SelectPeers(rng *rand.Rand, k int) []wire.NodeID {
+	return b.AppendPeers(nil, rng, k)
+}
+
+// AppendPeers implements membership.Sampler with weighted sampling without
+// replacement (repeated weighted draws, skipping peers already drawn).
+func (b *biasedSampler) AppendPeers(dst []wire.NodeID, rng *rand.Rand, k int) []wire.NodeID {
 	peers := b.view.Peers()
 	if k >= len(peers) {
-		return peers
+		return append(dst, peers...)
 	}
 	var totalWeight int64
 	for _, p := range peers {
 		totalWeight += int64(b.caps[p])
 	}
-	chosen := make(map[wire.NodeID]bool, k)
-	out := make([]wire.NodeID, 0, k)
-	for len(out) < k && totalWeight > 0 {
+	base := len(dst)
+	for len(dst)-base < k && totalWeight > 0 {
 		target := rng.Int63n(totalWeight)
 		var acc int64
 		for _, p := range peers {
-			if chosen[p] {
+			if slices.Contains(dst[base:], p) {
 				continue
 			}
 			acc += int64(b.caps[p])
 			if acc > target {
-				chosen[p] = true
-				out = append(out, p)
+				dst = append(dst, p)
 				totalWeight -= int64(b.caps[p])
 				break
 			}
 		}
 	}
-	return out
+	return dst
 }

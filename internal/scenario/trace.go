@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -78,14 +79,14 @@ type hopKey struct {
 // counts. Records are processed in (At, Node) order; under the virtual
 // clock a server's own delivery always precedes the deliveries it serves,
 // so a single forward pass resolves every complete path.
-func collectTraceStats(tracers []*telemetry.Tracer) *TraceStats {
+func collectTraceStats(stacks []*stack.Stack) *TraceStats {
 	ts := &TraceStats{}
-	for _, tr := range tracers {
-		if tr == nil {
+	for _, st := range stacks {
+		if st == nil || st.Tracer == nil {
 			continue
 		}
-		ts.Hops = append(ts.Hops, tr.Records()...)
-		ts.Truncated += tr.Truncated()
+		ts.Hops = append(ts.Hops, st.Tracer.Records()...)
+		ts.Truncated += st.Tracer.Truncated()
 	}
 	sort.Slice(ts.Hops, func(i, j int) bool {
 		a, b := ts.Hops[i], ts.Hops[j]

@@ -148,6 +148,13 @@ type Node struct {
 	netem   netem.Model
 	started bool
 	closed  bool
+	// timers holds each pending wall-clock timer and its callback, by slot;
+	// a timer frees its slot when it fires or is stopped. Close stops every
+	// pending timer and drops the callbacks, so a closed node's protocol
+	// stack is not kept reachable by timers that would only fire into a
+	// closed node (a serve-buffer prune can be two minutes out).
+	timers    []pendingTimer
+	freeSlots []int
 
 	wg sync.WaitGroup
 
@@ -310,6 +317,12 @@ func (n *Node) Close() {
 	if n.started {
 		n.handler.Stop()
 	}
+	for _, pt := range n.timers {
+		if pt.t != nil {
+			pt.t.Stop()
+		}
+	}
+	n.timers, n.freeSlots = nil, nil
 	n.mu.Unlock()
 }
 
@@ -587,25 +600,65 @@ func (rt *nodeRuntime) Send(to wire.NodeID, m wire.Message) {
 // After implements env.Runtime with a wall-clock timer whose callback runs
 // under the node mutex.
 func (rt *nodeRuntime) After(d time.Duration, fn func()) env.Timer {
-	n := rt.n
+	slot, t := rt.n.schedule(d, fn)
+	return &wallTimer{n: rt.n, slot: slot, t: t}
+}
+
+type pendingTimer struct {
+	t  *time.Timer
+	fn func()
+}
+
+// schedule arms a wall-clock timer for fn in a free slot. It runs in the
+// node's execution context (mu held), so the timer's callback cannot take
+// the slot before it is filled in.
+func (n *Node) schedule(d time.Duration, fn func()) (int, *time.Timer) {
+	var slot int
+	if k := len(n.freeSlots); k > 0 {
+		slot = n.freeSlots[k-1]
+		n.freeSlots = n.freeSlots[:k-1]
+	} else {
+		slot = len(n.timers)
+		n.timers = append(n.timers, pendingTimer{})
+	}
 	t := time.AfterFunc(d, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if n.closed {
 			return
 		}
+		fn := n.timers[slot].fn
+		n.release(slot)
 		fn()
 	})
-	return wallTimer{t}
+	n.timers[slot] = pendingTimer{t: t, fn: fn}
+	return slot, t
+}
+
+// release frees a timer slot (mu held).
+func (n *Node) release(slot int) {
+	n.timers[slot] = pendingTimer{}
+	n.freeSlots = append(n.freeSlots, slot)
 }
 
 type wallTimer struct {
-	t *time.Timer
+	n    *Node
+	slot int
+	t    *time.Timer
 }
 
-func (w wallTimer) Stop() bool { return w.t.Stop() }
+// Stop implements env.Timer. Handlers call it from the node's execution
+// context; a timer it stops still owns its slot (it never fired, and Close
+// would already have stopped it).
+func (w *wallTimer) Stop() bool {
+	if !w.t.Stop() {
+		return false
+	}
+	w.n.release(w.slot)
+	return true
+}
 
 // AfterFunc implements env.Runtime: After without the cancel handle.
 func (rt *nodeRuntime) AfterFunc(d time.Duration, fn func()) {
-	rt.After(d, fn)
+	rt.n.schedule(d, fn)
 }

@@ -9,10 +9,9 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/aggregation"
 	"repro/internal/core"
-	"repro/internal/env"
 	"repro/internal/membership"
-	"repro/internal/misbehave"
 	"repro/internal/netem"
+	"repro/internal/stack"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/udpnet"
@@ -121,12 +120,8 @@ type SourceConfig struct {
 type Node struct {
 	id        NodeID
 	udp       *udpnet.Node
-	engine    *core.Engine
-	estimator *aggregation.Estimator
-	adapt     *adapt.Controller
-	detector  *misbehave.Detector
+	stack     *stack.Stack
 	view      *membership.View
-	source    *stream.Source
 	telemetry *telemetry.Registry
 	capKbps   atomic.Uint32
 	capTimers []*time.Timer
@@ -158,9 +153,10 @@ func (h *StreamHandle) Published() int {
 	return n
 }
 
-// StartNode binds a socket, wires the protocol stack (dissemination engine,
-// capability aggregation when Adaptive, optional stream source) and starts
-// it. Close the returned node to shut down.
+// StartNode binds a socket, builds the protocol stack through stack.Build
+// (dissemination engine, capability aggregation when Adaptive, the optional
+// detector, adaptation controller and stream source) and starts it. Close
+// the returned node to shut down.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.UploadKbps == 0 {
 		return nil, fmt.Errorf("heapgossip: UploadKbps is required")
@@ -192,32 +188,26 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		n.telemetry = telemetry.NewRegistry()
 	}
 	n.capKbps.Store(cfg.UploadKbps)
-	mux := env.NewMux()
-
-	var sampler membership.Sampler = view
-	if cfg.Misbehave != nil {
-		det, err := misbehave.New(*cfg.Misbehave)
-		if err != nil {
-			return nil, err
-		}
-		n.detector = det
-		sampler = &misbehave.QuarantineSampler{Inner: view, Detector: det}
+	if cfg.Adapt != nil && !cfg.Adaptive {
+		return nil, fmt.Errorf("heapgossip: Adapt requires Adaptive (standard gossip has no advertisement to adapt)")
 	}
 
-	engCfg := core.Config{
-		Fanout:       cfg.Fanout,
-		GossipPeriod: cfg.GossipPeriod,
-		// The fanout-budget allocator divides this across concurrent
-		// streams; with a single stream it is inert.
-		UploadKbps: cfg.UploadKbps,
-		Sampler:    sampler,
-	}
-	if n.detector != nil {
-		engCfg.Monitor = n.detector
+	spec := stack.Spec{
+		ID: cfg.ID,
+		Engine: core.Config{
+			Fanout:       cfg.Fanout,
+			GossipPeriod: cfg.GossipPeriod,
+			// The fanout-budget allocator divides this across concurrent
+			// streams; with a single stream it is inert.
+			UploadKbps: cfg.UploadKbps,
+		},
+		AdvertisedKbps: cfg.UploadKbps,
+		Detector:       cfg.Misbehave,
+		Adapt:          cfg.Adapt,
 	}
 	if cfg.OnDeliver != nil {
 		deliver := cfg.OnDeliver
-		engCfg.OnDeliver = func(ev wire.Event, at time.Duration) {
+		spec.Engine.OnDeliver = func(ev wire.Event, at time.Duration) {
 			lag := at - time.Duration(ev.Stamp)
 			if lag < 0 {
 				lag = 0
@@ -226,38 +216,25 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	if cfg.Adaptive {
-		aggCfg := aggregation.Config{
-			SelfCapKbps: cfg.UploadKbps,
-			Sampler:     sampler,
-		}
-		if n.detector != nil {
-			// The fanout penalty: a quarantined peer's capability claim
-			// leaves the average, returning its fanout share to honest nodes.
-			aggCfg.Exclude = n.detector.Quarantined
-		}
-		est := aggregation.NewEstimator(aggCfg)
-		n.estimator = est
-		engCfg.Adaptive = true
-		engCfg.Capabilities = est
-		mux.Register(est, wire.KindAggregate)
+		spec.Aggregation = &aggregation.Config{}
+	}
+	if cfg.Source != nil {
+		spec.Streams = []stack.Stream{{SourceConfig: cfg.Source.sourceConfig(), Local: true}}
+	}
+	sub := stack.Substrate{
+		Membership: view,
+		// Release a finished broadcast's budget weight, so a long-lived
+		// node's past broadcasts stop throttling future ones.
+		OnDone: func(id StreamID) { n.stack.Engine.RetireStream(id) },
 	}
 	if cfg.Adapt != nil {
-		if !cfg.Adaptive {
-			return nil, fmt.Errorf("heapgossip: Adapt requires Adaptive (standard gossip has no advertisement to adapt)")
-		}
-		ctrl, err := adapt.NewController(*cfg.Adapt, cfg.UploadKbps)
-		if err != nil {
-			return nil, err
-		}
-		n.adapt = ctrl
-		engCfg.Adapt = ctrl
 		// The signal reads the paced sender's lock-free counters; the engine
 		// samples it from the node's execution context on its gossip rounds.
 		// SentBytes must be the enqueue-counted accumulator (AcceptedBytes):
 		// the controller derives drained bytes as ΔSentBytes − ΔQueuedBytes,
 		// which only holds when both counters sit on the enqueue side — the
 		// same convention as the simulator's NodeStats.SentBytes.
-		engCfg.AdaptSignal = func() adapt.Sample {
+		sub.AdaptSignal = func() adapt.Sample {
 			return adapt.Sample{
 				Backlog:     n.udp.SendBacklog(),
 				SentBytes:   n.udp.AcceptedBytes(),
@@ -267,42 +244,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 		// Keep the public AdvertisedKbps mirror current (the engine
 		// advertises through the estimator internally).
-		engCfg.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
+		sub.OnAdapt = func(effKbps uint32) { n.capKbps.Store(effKbps) }
 	}
-	eng, err := core.New(engCfg)
+	st, err := stack.Build(spec, sub)
 	if err != nil {
 		return nil, err
 	}
-	n.engine = eng
-	mux.Register(eng, wire.KindPropose, wire.KindRequest, wire.KindServe)
-
-	if cfg.Source != nil {
-		sc := *cfg.Source
-		applySourceDefaults(&sc)
-		src, err := stream.NewSource(stream.SourceConfig{
-			Stream:    sc.Stream,
-			Geometry:  sc.Geometry,
-			Windows:   sc.Windows,
-			StartAt:   sc.StartDelay,
-			Publisher: eng,
-			// Release the budget weight when production ends, so a
-			// long-lived node's past broadcasts stop throttling future ones.
-			OnDone: func() { eng.RetireStream(sc.Stream) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Register the stream with its rate so the fanout-budget allocator
-		// weighs it when further streams open alongside.
-		if err := eng.OpenStream(sc.Stream, core.StreamConfig{
-			ExpectedPackets: sc.Geometry.TotalPackets(sc.Windows),
-			RateKbps:        float64(sc.Geometry.EffectiveRateBps()) / 1000,
-		}); err != nil {
-			return nil, err
-		}
-		n.source = src
-		mux.Register(src)
-	}
+	n.stack = st
 
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Now()
@@ -340,7 +288,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			}
 		}
 	}
-	udpNode, err := udpnet.NewNode(cfg.ID, mux, udpCfg)
+	udpNode, err := udpnet.NewNode(cfg.ID, st.Mux, udpCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -439,8 +387,8 @@ func (n *Node) Close() {
 func (n *Node) SetAdvertisedKbps(kbps uint32) {
 	n.capKbps.Store(kbps)
 	n.udp.Execute(func() {
-		if n.estimator != nil {
-			n.estimator.SetSelfCapKbps(kbps)
+		if n.stack.Estimator != nil {
+			n.stack.Estimator.SetSelfCapKbps(kbps)
 		}
 	})
 }
@@ -457,16 +405,11 @@ func (n *Node) AdvertisedKbps() uint32 { return n.capKbps.Load() }
 // the node's Epoch.
 func (n *Node) AdaptTrace() []AdaptReadvertisement {
 	var out []AdaptReadvertisement
-	read := func() {
-		if n.adapt != nil {
-			out = append(out, n.adapt.Trace()...)
+	n.inspect(func() {
+		if n.stack.Controller != nil {
+			out = append(out, n.stack.Controller.Trace()...)
 		}
-	}
-	if !n.udp.Execute(read) {
-		// Node closed: no callback can mutate the controller anymore, so an
-		// unserialized read is safe — the trace survives Close.
-		read()
-	}
+	})
 	return out
 }
 
@@ -475,14 +418,11 @@ func (n *Node) AdaptTrace() []AdaptReadvertisement {
 // after Close.
 func (n *Node) AdaptReadvertisements() int {
 	count := 0
-	read := func() {
-		if n.adapt != nil {
-			count = n.adapt.Readvertisements()
+	n.inspect(func() {
+		if n.stack.Controller != nil {
+			count = n.stack.Controller.Readvertisements()
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return count
 }
 
@@ -502,14 +442,11 @@ func (n *Node) SendQueueBacklog() time.Duration { return n.udp.SendBacklog() }
 // accessors.
 func (n *Node) QuarantinedPeers() []NodeID {
 	var out []NodeID
-	read := func() {
-		if n.detector != nil {
-			out = n.detector.QuarantinedPeers()
+	n.inspect(func() {
+		if n.stack.Detector != nil {
+			out = n.stack.Detector.QuarantinedPeers()
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return out
 }
 
@@ -521,14 +458,11 @@ func (n *Node) MisbehaveEvidence(peer NodeID) (MisbehaveEvidence, bool) {
 		ev MisbehaveEvidence
 		ok bool
 	)
-	read := func() {
-		if n.detector != nil {
-			ev, ok = n.detector.EvidenceOf(peer)
+	n.inspect(func() {
+		if n.stack.Detector != nil {
+			ev, ok = n.stack.Detector.EvidenceOf(peer)
 		}
-	}
-	if !n.udp.Execute(read) {
-		read()
-	}
+	})
 	return ev, ok
 }
 
@@ -542,7 +476,7 @@ func (n *Node) NetemCounters() (dropped, delayed int) {
 // activity.
 func (n *Node) Stats() EngineStats {
 	var st EngineStats
-	n.udp.Execute(func() { st = n.engine.Stats() })
+	n.udp.Execute(func() { st = n.stack.Engine.Stats() })
 	return st
 }
 
@@ -551,11 +485,20 @@ func (n *Node) Stats() EngineStats {
 func (n *Node) EstimateKbps() float64 {
 	var est float64
 	n.udp.Execute(func() {
-		if n.estimator != nil {
-			est = n.estimator.EstimateKbps()
+		if n.stack.Estimator != nil {
+			est = n.stack.Estimator.EstimateKbps()
 		}
 	})
 	return est
+}
+
+// inspect runs fn serialized with protocol activity — or, once the node is
+// closed and no callback can mutate the stack anymore, unserialized, so the
+// statistics accessors stay truthful after Close.
+func (n *Node) inspect(fn func()) {
+	if !n.udp.Execute(fn) {
+		fn()
+	}
 }
 
 // collectProtocol emits the serialized subsystems' samples (engine counters,
@@ -563,21 +506,19 @@ func (n *Node) EstimateKbps() float64 {
 // advertised capability.
 func (n *Node) collectProtocol(emit telemetry.EmitFunc) {
 	emit("node_advertised_kbps", float64(n.capKbps.Load()))
-	read := func() {
-		n.engine.Collect(emit)
-		if n.estimator != nil {
-			emit("heap_bbar_kbps", n.estimator.EstimateKbps())
+	n.inspect(func() {
+		s := n.stack
+		s.Engine.Collect(emit)
+		if s.Estimator != nil {
+			emit("heap_bbar_kbps", s.Estimator.EstimateKbps())
 		}
-		if n.adapt != nil {
-			n.adapt.Collect(emit)
+		if s.Controller != nil {
+			s.Controller.Collect(emit)
 		}
-		if n.detector != nil {
-			n.detector.Collect(emit)
+		if s.Detector != nil {
+			s.Detector.Collect(emit)
 		}
-	}
-	if !n.udp.Execute(read) {
-		read() // node closed: nothing mutates the subsystems anymore
-	}
+	})
 }
 
 // Telemetry returns the node's metric registry — every subsystem's counters
@@ -609,17 +550,20 @@ func (n *Node) StartTelemetry(addr string) (*TelemetryServer, error) {
 // SourceDone reports whether this node's stream (if any) finished.
 func (n *Node) SourceDone() bool {
 	done := false
-	n.udp.Execute(func() { done = n.source != nil && n.source.Done })
+	n.udp.Execute(func() { done = len(n.stack.Sources) > 0 && n.stack.Sources[0].Done })
 	return done
 }
 
-func applySourceDefaults(sc *SourceConfig) {
+// sourceConfig applies the defaults and converts to the source layer's
+// configuration.
+func (sc SourceConfig) sourceConfig() stream.SourceConfig {
 	if sc.Geometry == (Geometry{}) {
 		sc.Geometry = PaperGeometry()
 	}
 	if sc.StartDelay == 0 {
 		sc.StartDelay = 2 * time.Second
 	}
+	return stream.SourceConfig{Stream: sc.Stream, Geometry: sc.Geometry, Windows: sc.Windows, StartAt: sc.StartDelay}
 }
 
 // OpenStream starts broadcasting an additional stream from this running
@@ -631,35 +575,15 @@ func applySourceDefaults(sc *SourceConfig) {
 // on first contact.
 func (n *Node) OpenStream(id StreamID, cfg SourceConfig) (*StreamHandle, error) {
 	cfg.Stream = id
-	applySourceDefaults(&cfg)
 	var (
-		src    *stream.Source
-		srcErr error
+		src *stream.Source
+		err error
 	)
-	ok := n.udp.Execute(func() {
-		src, srcErr = stream.NewSource(stream.SourceConfig{
-			Stream:    cfg.Stream,
-			Geometry:  cfg.Geometry,
-			Windows:   cfg.Windows,
-			StartAt:   cfg.StartDelay,
-			Publisher: n.engine,
-			// Sequential broadcasts on one node must not accumulate budget
-			// weight: retire the stream when its production finishes.
-			OnDone: func() { n.engine.RetireStream(id) },
-		})
-		if srcErr != nil {
-			return
-		}
-		srcErr = n.engine.OpenStream(id, core.StreamConfig{
-			ExpectedPackets: cfg.Geometry.TotalPackets(cfg.Windows),
-			RateKbps:        float64(cfg.Geometry.EffectiveRateBps()) / 1000,
-		})
-	})
-	if !ok {
+	if !n.udp.Execute(func() { src, err = n.stack.OpenStream(cfg.sourceConfig()) }) {
 		return nil, fmt.Errorf("heapgossip: node is closed")
 	}
-	if srcErr != nil {
-		return nil, srcErr
+	if err != nil {
+		return nil, err
 	}
 	if !n.udp.Attach(src) {
 		return nil, fmt.Errorf("heapgossip: node is closed")
