@@ -280,8 +280,8 @@ func (a *adversaryState) scheduleLiars(net *simnet.Network, caps []uint32, stack
 		id := id
 		adv := a.liarAdvertised(caps[id])
 		net.Schedule(a.spec.Onset, func() {
-			if est := estimatorOf(stacks, id); est != nil {
-				est.SetSelfCapKbps(adv)
+			if st := stacks[id]; st != nil && st.Estimator != nil {
+				st.Estimator.SetSelfCapKbps(adv)
 			}
 		})
 	}

@@ -48,12 +48,13 @@ func applyCapTraces(net *simnet.Network, eng *netem.Engine, unconstrained bool,
 						}
 						net.SetUploadBps(id, bps)
 					}
-					if est := estimatorOf(stacks, id); est != nil && !silent {
+					// Stacks of wave nodes not yet joined are nil.
+					if st := stacks[id]; st != nil && st.Estimator != nil && !silent {
 						adv := uint32(float64(baseAdv) * step.Factor)
 						if adv == 0 {
 							adv = 1
 						}
-						est.SetSelfCapKbps(adv)
+						st.Estimator.SetSelfCapKbps(adv)
 					}
 				})
 			}

@@ -121,7 +121,7 @@ func TestMultiSourceTwoStreamsDeliver(t *testing.T) {
 			t.Fatalf("stream %d offline jitter-free mean %.3f, want >= 0.95", k, mean)
 		}
 		// The stream's own source is excluded, the other source is not.
-		src := cfg.Streams[k].Source
+		src := res.Config.Streams[k].Source
 		for i := range run.Nodes {
 			want := run.Nodes[i].Node == src
 			if run.Nodes[i].Excluded != want {

@@ -1031,15 +1031,6 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// estimatorOf returns node id's capability estimator, nil while the node
-// has not joined or runs none.
-func estimatorOf(stacks []*stack.Stack, id wire.NodeID) *aggregation.Estimator {
-	if st := stacks[id]; st != nil {
-		return st.Estimator
-	}
-	return nil
-}
-
 // collect fills in the per-node counters and builds one delivery record per
 // stream. stacks[i] is nil for static-tree nodes; receivers is indexed
 // [node][spec index].

@@ -55,6 +55,9 @@ func (c *Config) applyStreamDefaults() error {
 	if c.Protocol == StaticTree {
 		return fmt.Errorf("scenario: the static-tree baseline is single-stream; Streams requires a gossip protocol")
 	}
+	// The specs are filled in place, so take a private copy first: configs
+	// copied by value (sweep cells, repeated runs) share the caller's slice.
+	c.Streams = append([]StreamSpec(nil), c.Streams...)
 	seenIDs := make(map[wire.StreamID]bool, len(c.Streams))
 	for i := range c.Streams {
 		s := &c.Streams[i]

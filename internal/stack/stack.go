@@ -189,7 +189,7 @@ func Build(spec Spec, sub Substrate) (*Stack, error) {
 	}
 	s.Engine = e
 	for _, st := range spec.Streams {
-		src, err := s.open(st)
+		src, err := s.Open(st)
 		if err != nil {
 			return nil, err
 		}
@@ -208,16 +208,11 @@ func Build(spec Spec, sub Substrate) (*Stack, error) {
 	return s, nil
 }
 
-// OpenStream opens an additional local stream on a built stack and returns
-// its source, which the caller starts on the node's runtime (the mux is
-// already running, so the source is not registered on it).
-func (s *Stack) OpenStream(sc stream.SourceConfig) (*stream.Source, error) {
-	return s.open(Stream{SourceConfig: sc, Local: true})
-}
-
-// open registers one stream with the engine, building its source first
-// when the stream is local.
-func (s *Stack) open(st Stream) (*stream.Source, error) {
+// Open opens one stream on the engine, building its source first when the
+// stream is local. Build opens Spec.Streams through it; on a running node,
+// the caller starts the returned source itself (the mux is already running,
+// so the source is not registered on it).
+func (s *Stack) Open(st Stream) (*stream.Source, error) {
 	var src *stream.Source
 	if st.Local {
 		sc := st.SourceConfig

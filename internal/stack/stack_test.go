@@ -138,9 +138,9 @@ func TestBuildRejectsSplitWithoutSplitDraw(t *testing.T) {
 	}
 }
 
-// TestOpenStreamOnBuiltStack opens a second local stream after Build: the
-// source publishes into the engine and OnDone fires with its stream id.
-func TestOpenStreamOnBuiltStack(t *testing.T) {
+// TestOpenOnBuiltStack opens a second local stream after Build: the source
+// publishes into the engine and OnDone fires with its stream id.
+func TestOpenOnBuiltStack(t *testing.T) {
 	var done []wire.StreamID
 	st, err := Build(Spec{Engine: core.Config{Fanout: 3}},
 		Substrate{Membership: membership.NewView(0, []wire.NodeID{1, 2, 3}), OnDone: func(id wire.StreamID) { done = append(done, id) }})
@@ -149,7 +149,7 @@ func TestOpenStreamOnBuiltStack(t *testing.T) {
 	}
 	rt := newClockRuntime(1)
 	st.Mux.Start(rt)
-	src, err := st.OpenStream(stream.SourceConfig{Stream: 7, Geometry: stream.PaperGeometry(), Windows: 1})
+	src, err := st.Open(Stream{Local: true, SourceConfig: stream.SourceConfig{Stream: 7, Geometry: stream.PaperGeometry(), Windows: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestOpenStreamOnBuiltStack(t *testing.T) {
 	if !st.Engine.StreamDelivered(7, 0) {
 		t.Fatal("the opened stream's first packet never reached the engine")
 	}
-	if _, err := st.OpenStream(stream.SourceConfig{Stream: 7, Geometry: stream.PaperGeometry(), Windows: 1}); err == nil {
+	if _, err := st.Open(Stream{Local: true, SourceConfig: stream.SourceConfig{Stream: 7, Geometry: stream.PaperGeometry(), Windows: 1}}); err == nil {
 		t.Fatal("reopening a carried stream id succeeded")
 	}
 }

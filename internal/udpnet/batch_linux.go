@@ -47,17 +47,21 @@ type mmsghdr struct {
 // mmsgIO implements batchIO over one UDP socket's raw descriptor. The
 // receive staging buffers are the free list the read loop recycles: they
 // are filled by every recvmmsg call and never escape (bodies are copied to
-// a per-batch arena before decoding), so one ioBatchMax×maxDatagram
-// allocation serves the node's whole lifetime.
+// a per-batch arena before decoding), so one ioBatchMax×maxDatagram area
+// serves the node's whole lifetime. The area is mapped from the kernel
+// rather than the Go heap: its pages are zero-filled on first touch, so a
+// node pays only for the pages datagrams land in, and a node started after
+// others closed does not re-zero their recycled 2 MiB heap spans.
 type mmsgIO struct {
 	rc   syscall.RawConn
 	ipv6 bool // socket family: encode destinations to match
 
-	// Receive side, allocated once.
-	rhdrs  []mmsghdr
-	riov   []syscall.Iovec
-	rbufs  [][]byte
-	rnames []syscall.RawSockaddrAny
+	// Receive side, allocated once; backing is the mapped staging area.
+	backing []byte
+	rhdrs   []mmsghdr
+	riov    []syscall.Iovec
+	rbufs   [][]byte
+	rnames  []syscall.RawSockaddrAny
 
 	// Send side, allocated once; headers are rebuilt per WriteBatch.
 	shdrs  []mmsghdr
@@ -87,7 +91,12 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 		siov:   make([]syscall.Iovec, ioBatchMax),
 		snames: make([]syscall.RawSockaddrAny, ioBatchMax),
 	}
-	backing := make([]byte, ioBatchMax*maxDatagram)
+	backing, err := syscall.Mmap(-1, 0, ioBatchMax*maxDatagram,
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, err
+	}
+	m.backing = backing
 	for i := range m.rhdrs {
 		buf := backing[i*maxDatagram : (i+1)*maxDatagram]
 		m.rbufs[i] = buf
@@ -99,6 +108,17 @@ func newBatchIO(conn *net.UDPConn) (batchIO, error) {
 		m.rhdrs[i].hdr.Iovlen = 1
 	}
 	return m, nil
+}
+
+// Release implements batchIO: unmap the staging area, first dropping every
+// pointer into it so nothing in the Go heap refers to the freed range.
+func (m *mmsgIO) Release() {
+	for i := range m.riov {
+		m.riov[i].Base = nil
+	}
+	m.rbufs = nil
+	syscall.Munmap(m.backing)
+	m.backing = nil
 }
 
 // ReadBatch implements batchIO: one recvmmsg call per wakeup, blocking (via

@@ -129,6 +129,9 @@ type batchIO interface {
 	Frame(i int) []byte
 	// SrcMatches reports whether datagram i's source address equals addr.
 	SrcMatches(i int, addr *net.UDPAddr) bool
+	// Release frees the receive staging area; no ReadBatch or Frame call
+	// may follow.
+	Release()
 }
 
 // Node hosts one protocol stack (an env.Handler, typically an env.Mux) on a
@@ -231,6 +234,9 @@ func NewNode(id wire.NodeID, handler env.Handler, cfg Config) (*Node, error) {
 		func(d outDatagram) int { return len(d.frame()) + wire.UDPOverheadBytes },
 		n.flushBatch)
 	if err != nil {
+		if n.bio != nil {
+			n.bio.Release()
+		}
 		conn.Close()
 		return nil, err
 	}
@@ -311,6 +317,9 @@ func (n *Node) Close() {
 
 	n.conn.Close() // unblocks the read loop
 	n.wg.Wait()
+	if n.bio != nil {
+		n.bio.Release() // the read loop, its only reader, has exited
+	}
 	n.sender.Close()
 
 	n.mu.Lock()

@@ -579,7 +579,7 @@ func (n *Node) OpenStream(id StreamID, cfg SourceConfig) (*StreamHandle, error) 
 		src *stream.Source
 		err error
 	)
-	if !n.udp.Execute(func() { src, err = n.stack.OpenStream(cfg.sourceConfig()) }) {
+	if !n.udp.Execute(func() { src, err = n.stack.Open(stack.Stream{SourceConfig: cfg.sourceConfig(), Local: true}) }) {
 		return nil, fmt.Errorf("heapgossip: node is closed")
 	}
 	if err != nil {
