@@ -202,6 +202,67 @@ func (h timerHandler) Start(rt env.Runtime) {
 func (h timerHandler) Receive(wire.NodeID, wire.Message) {}
 func (h timerHandler) Stop()                             {}
 
+// TestTimerSlotsReusedAndReleasedOnClose checks the pending-timer table: a
+// handler re-arming one timer per tick reuses a single slot, a stopped timer
+// frees its slot, and Close drops every pending callback.
+func TestTimerSlotsReusedAndReleasedOnClose(t *testing.T) {
+	h := &rearmHandler{ticks: make(chan struct{}, 100)}
+	n, err := NewNode(0, h, Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		select {
+		case <-h.ticks:
+		case <-time.After(3 * time.Second):
+			t.Fatal("ticker stalled")
+		}
+	}
+	n.Execute(func() {
+		// The re-arming tick plus the long timer never take more than the
+		// two slots they started with, however many ticks fired.
+		if len(n.timers) > 2 {
+			t.Errorf("%d timer slots after 20 ticks, want at most 2", len(n.timers))
+		}
+	})
+	n.Close()
+	if n.timers != nil {
+		t.Fatalf("Close left %d timer slots", len(n.timers))
+	}
+}
+
+// rearmHandler re-arms a 1 ms timer on every tick and holds one long timer
+// that is stopped and re-armed on each tick.
+type rearmHandler struct {
+	rt    env.Runtime
+	long  env.Timer
+	ticks chan struct{}
+}
+
+func (h *rearmHandler) Start(rt env.Runtime) {
+	h.rt = rt
+	h.long = rt.After(time.Hour, func() {})
+	rt.AfterFunc(time.Millisecond, h.tick)
+}
+
+func (h *rearmHandler) tick() {
+	if !h.long.Stop() {
+		panic("long timer was not pending")
+	}
+	h.long = h.rt.After(time.Hour, func() {})
+	h.rt.AfterFunc(time.Millisecond, h.tick)
+	select {
+	case h.ticks <- struct{}{}:
+	default:
+	}
+}
+
+func (h *rearmHandler) Receive(wire.NodeID, wire.Message) {}
+func (h *rearmHandler) Stop()                             {}
+
 // TestStreamingOverLoopback runs the full stack — engines, source, FEC
 // receivers — over real UDP sockets on localhost.
 func TestStreamingOverLoopback(t *testing.T) {
