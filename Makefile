@@ -42,12 +42,14 @@ race:
 # exchange storm and the shard-count determinism oracles run here too — the
 # sharded event loop is the one place simulation results depend on goroutine
 # discipline — plus the cluster-sampler storm (concurrent split draws against
-# the brute-force oracle).
+# the brute-force oracle). The golden-fingerprint check runs in the same
+# process right after the shard-count oracles, so a hash that depends on which
+# test ran first fails here.
 race-detect:
 	$(GO) test -race ./internal/misbehave ./internal/adapt ./internal/ratelimit
 	$(GO) test -race -run 'TestCrossShardExchangeRace|TestHeapCancelRescheduleStorm' ./internal/simnet
 	$(GO) test -race -run 'TestClusterSamplerStorm' ./internal/membership
-	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts' ./internal/scenario
+	$(GO) test -race -run 'TestDeterminismShardCounts|TestDeterminismTopologyShardCounts|TestFingerprintGolden' ./internal/scenario
 
 test-short: testshort
 testshort:

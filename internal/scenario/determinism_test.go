@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -19,6 +20,26 @@ import (
 // if event recycling, the indexed heap, the dense protocol tables, or the
 // sweep scheduler ever let scheduling order or reused memory leak into
 // results, identical seeds stop producing identical bytes and these fail.
+
+// init fixes the gob type ids that fingerprint's bytes carry. encoding/gob
+// assigns ids process-wide in first-use order, so without this a hash would
+// depend on which earlier test first encoded, say, TopoStats. Encoding one
+// zero value of each fingerprinted type, in fingerprint's encode order, pins
+// the ids the committed golden hashes were generated with.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	var r Result
+	for _, v := range []any{
+		&metrics.Run{}, r.CapsKbps, r.AdvertisedKbps, r.Usage,
+		r.Victims, r.NodeNetStats, r.CoreStats, r.NetStats,
+		r.EstimatesKbps, r.NetemStats,
+		&AdaptStats{}, &AdversaryStats{}, &TraceStats{}, &TopoStats{},
+	} {
+		if err := enc.Encode(v); err != nil {
+			panic(err)
+		}
+	}
+}
 
 // fingerprint serializes everything measurable about a run into bytes, so
 // "byte-identical results" is checked literally. Config is excluded (it
