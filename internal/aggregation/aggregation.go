@@ -51,14 +51,15 @@ type Config struct {
 	// regardless of which peer relayed it; relaying resumes on release.
 	Exclude func(wire.NodeID) bool
 	// TrackLimit, when > 0, tracks capability entries only for node ids
-	// below the limit. At million-node scale the per-node dense entry table
-	// and its O(entries) tick-path scans make the whole system O(n²); a
-	// track limit caps both at O(limit) per node. Because node ids carry no
-	// capability bias (caps are assigned by seeded rng, not by id), the
-	// tracked prefix is an unbiased sample and bbar converges to the same
-	// system average. A node whose own id is outside the limit still knows
-	// its own capability exactly — the estimate simply comes entirely from
-	// the sampled prefix. Zero means track everything.
+	// below the limit. At million-node scale a node's table of present
+	// entries, the tick's scans over it and its dense by-id index all grow
+	// with n, making the whole system O(n²); a track limit caps each at
+	// O(limit) per node. Because node ids carry no capability bias (caps
+	// are assigned by seeded rng, not by id), the tracked prefix is an
+	// unbiased sample and bbar converges to the same system average. A node
+	// whose own id is outside the limit still knows its own capability
+	// exactly — the estimate simply comes entirely from the sampled prefix.
+	// Zero means track everything.
 	TrackLimit int
 }
 
@@ -77,124 +78,58 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// capEntry is one known capability claim: owner, value, and the local-clock
+// time the value was measured at its owner.
 type capEntry struct {
+	id      wire.NodeID
 	capKbps uint32
-	asOf    time.Duration // local-clock time the value was measured at its owner
-	present bool
+	asOf    time.Duration
 }
 
-// Estimator is the per-node capability aggregation service. It implements
-// env.Handler for wire.Aggregate messages. Not safe for concurrent use; all
-// access happens on the node's execution context.
-//
-// Node ids are dense, so entries live in a flat slice indexed by id, and the
-// running sum/count are maintained incrementally: merging a received message
-// is O(entries in the message) and reading the estimate is O(1), regardless
-// of system size. (The previous map-backed version re-summed every known
-// entry on every receive — O(n) per message, ruinous at 10k+ nodes.)
-type Estimator struct {
-	cfg Config
-	rt  env.Runtime
-
-	entries []capEntry // dense by node id
-	count   int        // present entries
-	sum     uint64     // sum of present capKbps
-
-	// freshHeap (max by asOf) and expHeap (min by asOf) index the entries
-	// by freshness with lazy invalidation: every set pushes the new
-	// (id, asOf) pair onto both; a pair is live only while it still matches
-	// its entry. They turn the tick path's top-k selection and TTL aging
-	// from O(entries) scans into O(k log m) pops — the difference between
-	// feasible and not at million-node scale, where every node ticks five
-	// times a simulated second. Selection results are identical to the
-	// scans': same (asOf desc, id asc) order, same expiry instants.
-	freshHeap []freshPair
-	expHeap   []freshPair
-
-	ticker *env.Ticker
-
-	// cached estimate, refreshed on every mutation
-	estimateKbps float64
-
-	// selScratch is freshest's top-k selection scratch, reused across
-	// ticks; peerScratch the per-tick sampling buffer.
-	selScratch  []selEntry
-	peerScratch []wire.NodeID
-
-	// MessagesSent counts aggregation messages (for overhead accounting).
-	MessagesSent int
-}
-
-type selEntry struct {
-	id wire.NodeID
-	ce capEntry
-}
-
-// freshPair is one lazily-invalidated heap record: the entry for id as of
-// the moment it was set. It is live iff the entry is still present with
-// exactly this asOf.
-type freshPair struct {
-	id   wire.NodeID
-	asOf time.Duration
-}
-
-// fresherPair is the freshness order shared by the heap and the legacy scan:
-// newer first, smaller id on ties — a strict total order, so top-k is unique.
-func fresherPair(a, b freshPair) bool {
+// fresher is the freshness order: newer first, smaller id on ties — a strict
+// total order, so the k freshest entries and their order are unique.
+func fresher(a, b capEntry) bool {
 	if a.asOf != b.asOf {
 		return a.asOf > b.asOf
 	}
 	return a.id < b.id
 }
 
-func (e *Estimator) live(p freshPair) bool {
-	return int(p.id) < len(e.entries) && e.entries[p.id].present && e.entries[p.id].asOf == p.asOf
+// Estimator is the per-node capability aggregation service. It implements
+// env.Handler for wire.Aggregate messages. Not safe for concurrent use; all
+// access happens on the node's execution context.
+//
+// The present entries live unordered in one compact slice, found by id
+// through a dense index (4 bytes per id up to the largest tracked one). The
+// running sum is kept incrementally, so merging a received message is
+// O(entries in the message) and reading the estimate is O(1). The tick path
+// scans the present entries twice, once to age out and purge, once to pick
+// the freshest k. A node holds only entries it heard of within EntryTTL
+// (at most about FreshestK·EntryTTL/Period of them at one message per
+// period), which bounds both scans whatever the system size.
+type Estimator struct {
+	cfg Config
+	rt  env.Runtime
+
+	entries []capEntry // present entries, unordered
+	slot    []int32    // by node id: 1 + index into entries, 0 when absent
+	sum     uint64     // sum of present capKbps
+
+	ticker *env.Ticker
+
+	// cached estimate, refreshed on every mutation
+	estimateKbps float64
+
+	// selScratch is freshest's sorted top-k, reused across ticks;
+	// peerScratch the per-tick sampling buffer.
+	selScratch  []capEntry
+	peerScratch []wire.NodeID
+
+	// MessagesSent counts aggregation messages (for overhead accounting).
+	MessagesSent int
 }
 
-// pushHeap/popHeap are one sift implementation parameterized by order;
-// less(a, b) means a belongs nearer the top.
-func pushHeap(h []freshPair, p freshPair, less func(a, b freshPair) bool) []freshPair {
-	h = append(h, p)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-func popHeap(h []freshPair, less func(a, b freshPair) bool) ([]freshPair, freshPair) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= last {
-			break
-		}
-		if r := child + 1; r < last && less(h[r], h[child]) {
-			child = r
-		}
-		if !less(h[child], h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return h, top
-}
-
-// olderPair orders the expiry heap: oldest asOf first. EntryTTL is constant,
-// so asOf order is expiry order.
-func olderPair(a, b freshPair) bool { return a.asOf < b.asOf }
-
-// maxTrackedNodeID bounds the dense entry slice against hostile wire input:
+// maxTrackedNodeID bounds the dense by-id index against hostile wire input:
 // node ids are dense, so a million-node ceiling is far beyond any deployment
 // this codebase targets while capping what one datagram can make us allocate.
 const maxTrackedNodeID = 1 << 20
@@ -216,64 +151,48 @@ func NewEstimator(cfg Config) *Estimator {
 	}
 }
 
-// tracked reports whether id falls inside the dense entry table. With no
+// tracked reports whether entries for id are kept at all. With no
 // TrackLimit every valid id is tracked.
 func (e *Estimator) tracked(id wire.NodeID) bool {
 	return e.cfg.TrackLimit <= 0 || int(id) < e.cfg.TrackLimit
 }
 
-// set inserts or replaces the entry for id, keeping sum/count current.
-// Callers gate on tracked(id).
+// find returns the present entry for id, or nil.
+func (e *Estimator) find(id wire.NodeID) *capEntry {
+	if int(id) < len(e.slot) && e.slot[id] > 0 {
+		return &e.entries[e.slot[id]-1]
+	}
+	return nil
+}
+
+// set inserts or replaces the entry for id, keeping sum current. Callers
+// gate on tracked(id).
 func (e *Estimator) set(id wire.NodeID, capKbps uint32, asOf time.Duration) {
-	for int(id) >= len(e.entries) {
-		e.entries = append(e.entries, capEntry{})
-	}
-	slot := &e.entries[id]
-	if slot.present {
-		e.sum -= uint64(slot.capKbps)
-	} else {
-		slot.present = true
-		e.count++
-	}
-	slot.capKbps = capKbps
-	slot.asOf = asOf
-	e.sum += uint64(capKbps)
-	e.freshHeap = pushHeap(e.freshHeap, freshPair{id, asOf}, fresherPair)
-	e.expHeap = pushHeap(e.expHeap, freshPair{id, asOf}, olderPair)
-	// Superseded pairs are discarded when they surface at a heap top, but
-	// below the surface they pile up (a refreshed entry's old pair sinks in
-	// freshHeap and lingers in expHeap until its would-be expiry). Rebuild a
-	// heap from the live entries once dead pairs outnumber live ones —
-	// amortized O(log) per set, and it bounds both heaps at 2x the entry
-	// table, which is what keeps per-node memory flat at million-node scale.
-	if len(e.freshHeap) > 64 && len(e.freshHeap) > 2*e.count {
-		e.freshHeap = rebuildHeap(e.freshHeap[:0], e.entries, fresherPair)
-	}
-	if len(e.expHeap) > 64 && len(e.expHeap) > 2*e.count {
-		e.expHeap = rebuildHeap(e.expHeap[:0], e.entries, olderPair)
-	}
-}
-
-// rebuildHeap repopulates h (cleared, capacity retained) with one pair per
-// present entry.
-func rebuildHeap(h []freshPair, entries []capEntry, less func(a, b freshPair) bool) []freshPair {
-	for id := range entries {
-		if entries[id].present {
-			h = pushHeap(h, freshPair{wire.NodeID(id), entries[id].asOf}, less)
-		}
-	}
-	return h
-}
-
-// drop removes the entry for id, keeping sum/count current.
-func (e *Estimator) drop(id wire.NodeID) {
-	slot := &e.entries[id]
-	if !slot.present {
+	if cur := e.find(id); cur != nil {
+		e.sum += uint64(capKbps) - uint64(cur.capKbps)
+		cur.capKbps, cur.asOf = capKbps, asOf
 		return
 	}
-	e.sum -= uint64(slot.capKbps)
-	e.count--
-	*slot = capEntry{}
+	if n := int(id) + 1; n > len(e.slot) {
+		e.slot = append(e.slot, make([]int32, n-len(e.slot))...)
+	}
+	e.entries = append(e.entries, capEntry{id, capKbps, asOf})
+	e.slot[id] = int32(len(e.entries))
+	e.sum += uint64(capKbps)
+}
+
+// drop removes the entry at index i of entries, moving the last entry into
+// its place and keeping sum current.
+func (e *Estimator) drop(i int) {
+	gone := e.entries[i]
+	e.sum -= uint64(gone.capKbps)
+	e.slot[gone.id] = 0
+	last := len(e.entries) - 1
+	if i != last {
+		e.entries[i] = e.entries[last]
+		e.slot[e.entries[i].id] = int32(i + 1)
+	}
+	e.entries = e.entries[:last]
 }
 
 // Start implements env.Handler.
@@ -328,7 +247,7 @@ func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 		if entry.Node == e.rt.ID() || entry.Node < 0 || entry.Node >= maxTrackedNodeID {
 			// Own value is always freshest; negative or absurdly large ids
 			// are hostile/corrupt wire input (ids are dense, and the dense
-			// entry slice must not grow unboundedly on a peer's say-so).
+			// index must not grow unboundedly on a peer's say-so).
 			continue
 		}
 		if !e.tracked(entry.Node) {
@@ -338,10 +257,8 @@ func (e *Estimator) Receive(_ wire.NodeID, m wire.Message) {
 			continue // quarantined claim owner, see Config.Exclude
 		}
 		asOf := now - time.Duration(entry.AgeMs)*time.Millisecond
-		if int(entry.Node) < len(e.entries) {
-			if cur := &e.entries[entry.Node]; cur.present && cur.asOf >= asOf {
-				continue // ours is fresher
-			}
+		if cur := e.find(entry.Node); cur != nil && cur.asOf >= asOf {
+			continue // ours is fresher
 		}
 		e.set(entry.Node, entry.CapKbps, asOf)
 	}
@@ -380,98 +297,68 @@ func (e *Estimator) RelativeCapability() float64 {
 }
 
 // KnownNodes returns how many nodes currently contribute to the estimate.
-func (e *Estimator) KnownNodes() int { return e.count }
+func (e *Estimator) KnownNodes() int { return len(e.entries) }
 
+// prune drops every entry, except the node's own, that is older than
+// EntryTTL or whose owner Exclude rejects (quarantined since it was merged,
+// see Config.Exclude). It walks backward so each swapped-in entry has
+// already been checked.
 func (e *Estimator) prune(now time.Duration) {
 	self := e.rt.ID()
-	if e.cfg.Exclude != nil {
-		// Quarantine purging has no expiry instant to index by, so detector
-		// runs keep the full scan (they are small-n by construction).
-		for id := range e.entries {
-			entry := &e.entries[id]
-			if !entry.present || wire.NodeID(id) == self {
-				continue
-			}
-			if now-entry.asOf > e.cfg.EntryTTL {
-				e.drop(wire.NodeID(id))
-				continue
-			}
-			if e.cfg.Exclude(wire.NodeID(id)) {
-				e.drop(wire.NodeID(id)) // quarantined since merged, see Config.Exclude
-			}
+	for i := len(e.entries) - 1; i >= 0; i-- {
+		en := e.entries[i]
+		if en.id == self {
+			continue
 		}
-		return
-	}
-	// Lazy expiry: pop oldest-first until the top is inside the TTL. Dead
-	// pairs (superseded by a fresher set) are discarded on the way — this is
-	// where expHeap self-cleans.
-	for len(e.expHeap) > 0 && now-e.expHeap[0].asOf > e.cfg.EntryTTL {
-		var p freshPair
-		e.expHeap, p = popHeap(e.expHeap, olderPair)
-		if e.live(p) && p.id != self {
-			e.drop(p.id)
+		if now-en.asOf > e.cfg.EntryTTL || (e.cfg.Exclude != nil && e.cfg.Exclude(en.id)) {
+			e.drop(i)
 		}
 	}
 }
 
 func (e *Estimator) recompute() {
-	if e.count == 0 {
+	if len(e.entries) == 0 {
 		e.estimateKbps = float64(e.cfg.SelfCapKbps)
 		return
 	}
 	// sum is maintained with integer arithmetic, so the estimate is
 	// independent of merge order — whole-system runs stay bit-reproducible.
-	e.estimateKbps = float64(e.sum) / float64(e.count)
+	e.estimateKbps = float64(e.sum) / float64(len(e.entries))
 }
 
-// freshest returns up to k entries with the most recent asOf, encoded with
-// their current age. O(k log m) heap selection with reusable scratch; only
-// the returned slice is freshly allocated (it escapes into the outgoing
-// message).
+// freshest returns up to k entries with the most recent asOf, in fresher
+// order, encoded with their current age. One pass keeps a sorted top-k in
+// reusable scratch; only the returned slice is freshly allocated (it escapes
+// into the outgoing message).
 func (e *Estimator) freshest(k int, now time.Duration) []wire.CapEntry {
-	if k > e.count {
-		k = e.count
-	}
+	k = min(k, len(e.entries))
 	if k <= 0 {
 		return nil
 	}
-	// Pop the freshness heap newest-first, discarding dead pairs, until k
-	// live distinct entries are in hand; then push the winners back. Pop
-	// order is exactly the scan's (asOf desc, id asc) total order, so the
-	// selected set — and the message bytes — are unchanged.
 	best := e.selScratch[:0]
-	for len(e.freshHeap) > 0 && len(best) < k {
-		var p freshPair
-		e.freshHeap, p = popHeap(e.freshHeap, fresherPair)
-		if !e.live(p) {
+	for _, en := range e.entries {
+		j := len(best) // where en goes if it is fresher than everything kept
+		if j < k {
+			best = append(best, en)
+		} else if fresher(en, best[j-1]) {
+			j-- // evict the stalest kept entry
+		} else {
 			continue
 		}
-		// Two live pairs for one id exist only when an entry was rewritten
-		// with an identical asOf (same-instant self refresh); keep the first.
-		dup := false
-		for i := range best {
-			if best[i].id == p.id {
-				dup = true
-				break
-			}
+		for ; j > 0 && fresher(en, best[j-1]); j-- {
+			best[j] = best[j-1]
 		}
-		if dup {
-			continue
-		}
-		best = append(best, selEntry{p.id, e.entries[p.id]})
-	}
-	for _, b := range best {
-		e.freshHeap = pushHeap(e.freshHeap, freshPair{b.id, b.ce.asOf}, fresherPair)
+		best[j] = en
 	}
 	out := make([]wire.CapEntry, len(best))
 	for i, b := range best {
-		age := now - b.ce.asOf
+		age := now - b.asOf
 		if age < 0 {
 			age = 0
 		}
 		out[i] = wire.CapEntry{
 			Node:    b.id,
-			CapKbps: b.ce.capKbps,
+			CapKbps: b.capKbps,
 			AgeMs:   uint32(age / time.Millisecond),
 		}
 	}

@@ -224,8 +224,9 @@ func LargeScaleXL(n int, seed int64, shards int) Config {
 	c.Shards = shards
 	// 256 tracked entries keep bbar's standard error in the mid single
 	// digits for the bimodal distribution while holding the per-node
-	// aggregation state (entry table + freshness/expiry heaps) near 10 KB —
-	// the table itself is what made 1M nodes run out of memory.
+	// aggregation state (16 B per present entry plus a 4 B-per-id index)
+	// near 5 KB — an untracked table is what made 1M nodes run out of
+	// memory.
 	c.AggTrackLimit = 256
 	return c
 }
