@@ -313,10 +313,14 @@ type Stats struct {
 const maxProposersTracked = 4
 
 // maxTrackedPacketID bounds the dense per-packet tables against hostile or
-// corrupt wire input: ids are assigned densely in publish order, so a
-// legitimate id beyond this (~90 days of continuous stream) cannot occur,
-// while an attacker-supplied huge id would otherwise force the dense slot
-// arrays to allocate unboundedly. Ids past the bound are simply ignored.
+// corrupt wire input: an attacker-supplied huge id would otherwise force the
+// dense slot arrays to allocate unboundedly. Ids past the bound are simply
+// ignored. It is also a hard limit on stream length: ids are assigned
+// densely in publish order, and at paper geometry (about 57 packets/s, FEC
+// parity included) a continuous stream reaches 2^22 after about 20.4 hours,
+// after which a long-lived stream (a live heapnode) silently stops
+// disseminating. ROADMAP open item 1 (sliding-window packet tables) removes
+// that limit.
 const maxTrackedPacketID = 1 << 22
 
 // bufferedEvent is a delivered event kept for serving, with its receive time

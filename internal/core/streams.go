@@ -16,8 +16,9 @@ import (
 // maxTrackedStreams bounds how many streams one engine will track. Streams
 // are opened explicitly by configuration or lazily on first contact; the
 // bound keeps hostile wire input from forcing unbounded per-stream state
-// (mirroring maxTrackedPacketID for packet ids). Messages for streams past
-// the bound are ignored.
+// (mirroring maxTrackedPacketID for packet ids, which also cuts every
+// stream off after about 20.4 hours at paper geometry; see its comment and
+// ROADMAP open item 1). Messages for streams past the bound are ignored.
 const maxTrackedStreams = 64
 
 // StreamConfig parameterizes one dissemination stream on an engine.
